@@ -1,4 +1,4 @@
-"""Covariate generators, simulated designs, and centering.
+"""Covariate generators and simulated designs.
 
 Four covariate families cover the interesting identifiability regimes:
 
@@ -44,7 +44,6 @@ __all__ = [
     "gen_covariate",
     "filtered_noise_modes",
     "gen_design",
-    "center",
 ]
 
 GENERATOR_KINDS = (
@@ -277,36 +276,3 @@ def gen_design(
     design = Design(tuple(observations), lags, step)
     return design, beta_true
 
-
-def center(design: Design, drop_scalars: bool = False) -> Design:
-    """Center responses and covariates.
-
-    Subtracts from each response its own time average over
-    ``[alpha_star, T_i]`` (a scalar, applied to the whole curve) and
-    from each covariate the across-observation mean curve, computed
-    pointwise over the observations that reach each time. With
-    ``drop_scalars`` the scalar covariates are removed instead of being
-    carried through. Centering an already centered design is a no-op up
-    to rounding.
-    """
-    k0 = design.alpha_star_index()
-    max_len = max(len(obs.y) for obs in design.observations)
-    mean_x = [np.zeros(max_len) for _ in range(design.p)]
-    counts = np.zeros(max_len)
-    for obs in design.observations:
-        counts[: len(obs.y)] += 1.0
-        for j in range(design.p):
-            mean_x[j][: len(obs.y)] += obs.x[j].values
-    for j in range(design.p):
-        mean_x[j] /= counts
-    observations = []
-    for obs in design.observations:
-        m = len(obs.y)
-        w = quadrature_weights(m - k0, design.step)
-        y_avg = float(w @ obs.y.values[k0:]) / (obs.domain_length - design.alpha_star)
-        y = obs.y.with_values(obs.y.values - y_avg)
-        xs = tuple(
-            obs.x[j].with_values(obs.x[j].values - mean_x[j][:m]) for j in range(design.p)
-        )
-        observations.append(Observation(y, xs, () if drop_scalars else obs.z))
-    return Design(tuple(observations), design.lags, design.step)

@@ -15,14 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from fcmlab.errors import ConformalityError, GridError, NearSingularError
+from fcmlab.errors import ConformalityError, GridError
 from fcmlab.estimator import (
     DEFAULT_PIVOT_TOL,
     CoefficientIndexMap,
-    observation_rows,
-    second_difference_operator,
+    GramSystem,
+    solve_direct,
+    solve_penalized,
 )
 from fcmlab.grids import snap_to_index
 from fcmlab.model import CoefficientSet, Design
@@ -119,10 +119,14 @@ def _design_matrix(data: FlmDataset) -> tuple[np.ndarray, CoefficientIndexMap]:
     return A, imap
 
 
-def flm_normal_equations(data: FlmDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Unweighted normal equations ``(A'A, A'y)`` of the row regression."""
-    A, _ = _design_matrix(data)
-    return A.T @ A, A.T @ data.y
+def flm_normal_equations(data: FlmDataset) -> GramSystem:
+    """Normal equations ``A'A c = A'y`` of the row regression.
+
+    Rows count equally (no time quadrature); the entry weights are the
+    lag quadrature weights of the full estimator.
+    """
+    A, imap = _design_matrix(data)
+    return GramSystem(A.T @ A, A.T @ data.y, imap, imap.lag_weights())
 
 
 def flm_row_residuals(data: FlmDataset, coef: CoefficientSet) -> np.ndarray:
@@ -143,21 +147,9 @@ def fit_flm(
     rank-deficient normal matrix raises :class:`NearSingularError`;
     with ``lam > 0`` the penalty usually restores uniqueness.
     """
-    lam = float(lam)
-    if lam < 0.0:
-        raise ValueError(f"penalty weight must be nonnegative, got {lam!r}")
-    A, imap = _design_matrix(data)
     if data.row_count < 1:
         raise ConformalityError("no rows to fit")
-    G = A.T @ A
-    F = A.T @ data.y
-    if lam == 0.0:
-        evals = scipy.linalg.eigh(G, eigvals_only=True)
-        min_eig, max_eig = float(evals[0]), float(evals[-1])
-        if max_eig <= 0.0 or min_eig <= pivot_tol * max_eig:
-            raise NearSingularError(min_eig, max_eig)
-        c = scipy.linalg.solve(G, F, assume_a="pos")
-    else:
-        D = second_difference_operator(imap)
-        c = scipy.linalg.solve(G + lam * (D.T @ D), F, assume_a="sym")
-    return imap.unpack(c)
+    system = flm_normal_equations(data)
+    if float(lam) == 0.0:
+        return solve_direct(system, pivot_tol)
+    return solve_penalized(system, lam)

@@ -14,6 +14,7 @@ covariate; :class:`CoefficientIndexMap` owns that layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -146,6 +147,12 @@ class GramSystem:
     def size(self) -> int:
         return self.index_map.size
 
+    @cached_property
+    def extremes(self) -> tuple[float, float]:
+        """Smallest and largest eigenvalue of the unweighted ``G``, computed once."""
+        evals = scipy.linalg.eigh(self.G, eigvals_only=True)
+        return float(evals[0]), float(evals[-1])
+
 
 def observation_rows(design: Design, i: int, t_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Regression rows of observation ``i`` at the given grid indices.
@@ -199,11 +206,6 @@ def assemble(design: Design) -> GramSystem:
     return GramSystem(G, F, imap, imap.lag_weights())
 
 
-def _gram_extremes(G: np.ndarray) -> tuple[float, float]:
-    evals = scipy.linalg.eigh(G, eigvals_only=True)
-    return float(evals[0]), float(evals[-1])
-
-
 def solve_direct(system: GramSystem, pivot_tol: float = DEFAULT_PIVOT_TOL) -> CoefficientSet:
     """Solve ``G c = F`` by a symmetric positive-definite factorization.
 
@@ -212,7 +214,7 @@ def solve_direct(system: GramSystem, pivot_tol: float = DEFAULT_PIVOT_TOL) -> Co
     times the largest; rank-deficient systems should go through
     :func:`solve_truncated_svd` or :func:`solve_penalized` instead.
     """
-    min_eig, max_eig = _gram_extremes(system.G)
+    min_eig, max_eig = system.extremes
     if max_eig <= 0.0 or min_eig <= pivot_tol * max_eig:
         raise NearSingularError(min_eig, max_eig)
     c = scipy.linalg.solve(system.G, system.F, assume_a="pos")
@@ -317,14 +319,11 @@ def fit(
     (``lam`` applies to the ridge path only).
     """
     system = assemble(design)
-    min_eig, max_eig = _gram_extremes(system.G)
+    min_eig, max_eig = system.extremes
     cond = float("inf") if min_eig <= 0.0 else max_eig / min_eig
     truncation_rank: int | None = None
     if solver == "direct":
-        if max_eig <= 0.0 or min_eig <= pivot_tol * max_eig:
-            raise NearSingularError(min_eig, max_eig)
-        c = scipy.linalg.solve(system.G, system.F, assume_a="pos")
-        coef = system.index_map.unpack(c)
+        coef = solve_direct(system, pivot_tol)
     elif solver == "truncated_svd":
         coef, truncation_rank = solve_truncated_svd(system, rel_tol=svd_rel_tol)
     elif solver == "ridge":

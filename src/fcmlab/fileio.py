@@ -1,32 +1,33 @@
-"""On-disk formats: design manifests, results, and atomic writes.
+"""On-disk formats: design manifests, results, and row exports.
 
 A design lives on disk as a JSON manifest naming one CSV per curve
 (paths relative to the manifest) with scalar covariates inline. Every
 JSON artifact carries a ``format_version`` field. All writers are
-atomic: content goes to a temporary file in the destination directory
-and is renamed into place, so readers never observe partial output.
+atomic, through :func:`fcmlab.util.atomic_write`: content goes to a
+temporary file in the destination directory and is renamed into place,
+so readers never observe partial output. The CSV writers here stream
+one line at a time.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
+from itertools import chain
 from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
 
 from fcmlab.designs import GeneratorSpec, NoiseSpec
-from fcmlab.errors import FcmlabError, ValidationError
+from fcmlab.errors import FcmlabError, GridError, ValidationError
 from fcmlab.estimator import FitResult
-from fcmlab.grids import GridFunction, read_grid_csv, write_grid_csv
+from fcmlab.grids import GridFunction, read_grid_csv, snap_to_index, write_grid_csv
 from fcmlab.identifiability import DiagnosisReport
 from fcmlab.model import CoefficientSet, Design, Observation
+from fcmlab.util import atomic_write
 
 __all__ = [
     "FORMAT_VERSION",
-    "atomic_write_text",
     "write_design",
     "read_design",
     "coefficients_to_dict",
@@ -47,22 +48,8 @@ __all__ = [
 FORMAT_VERSION = 1
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temp file and rename."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _dump_json(payload: Mapping[str, Any]) -> str:
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+def _write_json(path, payload: Mapping[str, Any]) -> None:
+    atomic_write(path, [json.dumps(payload, indent=2, sort_keys=False) + "\n"])
 
 
 def write_design(design: Design, out_dir) -> Path:
@@ -92,7 +79,7 @@ def write_design(design: Design, out_dir) -> Path:
         "observations": observations,
     }
     path = out_dir / "manifest.json"
-    atomic_write_text(path, _dump_json(manifest))
+    _write_json(path, manifest)
     return path
 
 
@@ -196,7 +183,7 @@ def write_truth(path, coef: CoefficientSet, simulation: Mapping[str, Any] | None
     }
     if simulation is not None:
         payload["simulation"] = dict(simulation)
-    atomic_write_text(path, _dump_json(payload))
+    _write_json(path, payload)
 
 
 def read_truth(path) -> CoefficientSet:
@@ -219,7 +206,7 @@ def fit_payload(result: FitResult) -> dict[str, Any]:
 
 
 def write_fit_result(path, result: FitResult) -> None:
-    atomic_write_text(path, _dump_json(fit_payload(result)))
+    _write_json(path, fit_payload(result))
 
 
 def diagnosis_payload(report: DiagnosisReport) -> dict[str, Any]:
@@ -264,41 +251,43 @@ def diagnosis_payload(report: DiagnosisReport) -> dict[str, Any]:
 
 
 def write_diagnosis(path, report: DiagnosisReport) -> None:
-    atomic_write_text(path, _dump_json(diagnosis_payload(report)))
+    _write_json(path, diagnosis_payload(report))
 
 
 def write_spectrum_csv(path, values: np.ndarray) -> None:
     """Write a descending spectrum as ``index,sigma`` rows."""
-    lines = ["index,sigma"]
-    for k, v in enumerate(np.asarray(values, dtype=float)):
-        lines.append(f"{k},{v:.17g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = (f"{k},{v:.17g}\n" for k, v in enumerate(np.asarray(values, dtype=float)))
+    atomic_write(path, chain(["index,sigma\n"], rows))
 
 
 def write_residual_curves_csv(path, report: DiagnosisReport) -> None:
     """Write every residual-vs-order curve as ``observation,covariate,K,residual``."""
-    lines = ["observation,covariate,K,residual"]
-    for i, row in enumerate(report.covariate_reports):
-        for j, rep in enumerate(row):
-            for K, r in enumerate(rep.residual_curve):
-                lines.append(f"{i},{j},{K},{r:.17g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = (
+        f"{i},{j},{K},{r:.17g}\n"
+        for i, row in enumerate(report.covariate_reports)
+        for j, rep in enumerate(row)
+        for K, r in enumerate(rep.residual_curve)
+    )
+    atomic_write(path, chain(["observation,covariate,K,residual\n"], rows))
 
 
 def write_flm_csv(path, data) -> None:
     """Write down-sampled rows: observation, l, y, scalars, then windows."""
-    header = ["obs", "l", "y"]
-    header += [f"z{k}" for k in range(data.d)]
-    for j, win in enumerate(data.windows):
-        header += [f"x{j}_u{m}" for m in range(win.shape[1])]
-    lines = [",".join(header)]
-    for r in range(data.row_count):
-        cells = [str(int(data.obs_index[r])), str(int(data.l_index[r])), f"{data.y[r]:.17g}"]
-        cells += [f"{v:.17g}" for v in data.z[r]]
-        for win in data.windows:
-            cells += [f"{v:.17g}" for v in win[r]]
-        lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+
+    def lines():
+        header = ["obs", "l", "y"]
+        header += [f"z{k}" for k in range(data.d)]
+        for j, win in enumerate(data.windows):
+            header += [f"x{j}_u{m}" for m in range(win.shape[1])]
+        yield ",".join(header) + "\n"
+        for r in range(data.row_count):
+            cells = [str(int(data.obs_index[r])), str(int(data.l_index[r])), f"{data.y[r]:.17g}"]
+            cells += [f"{v:.17g}" for v in data.z[r]]
+            for win in data.windows:
+                cells += [f"{v:.17g}" for v in win[r]]
+            yield ",".join(cells) + "\n"
+
+    atomic_write(path, lines())
 
 
 def parse_simulation_spec(raw: Mapping[str, Any], source=None):
@@ -350,8 +339,11 @@ def parse_simulation_spec(raw: Mapping[str, Any], source=None):
     for j, (entry, alpha) in enumerate(zip(betas_raw, lags)):
         if not isinstance(entry, dict):
             raise ValidationError("kernel entry must be an object", source=source, field=f"betas[{j}]")
-        m = round(float(alpha) / step)
-        if abs(float(alpha) / step - m) > 1e-9 * max(1.0, abs(float(alpha) / step)) or m < 1:
+        try:
+            m = snap_to_index(float(alpha) / step)
+        except GridError:
+            m = 0  # off the grid: rejected below like a nonpositive lag
+        if m < 1:
             raise ValidationError(
                 f"lag {alpha!r} is not a positive multiple of the step",
                 source=source,

@@ -9,8 +9,7 @@ linear-algebra object an explicit weighted sum of samples.
 Grid alignment is exact-match only. Binary operations never
 interpolate; operands must live on the same grid (checked to a
 relative tolerance of 1e-9 of the step, to absorb float formatting
-round trips). Refinement and coarsening go through :func:`resample`,
-which is explicit about the linear interpolation it performs.
+round trips).
 """
 
 from __future__ import annotations
@@ -21,15 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from fcmlab.errors import GridError, ValidationError
+from fcmlab.util import atomic_write
 
 __all__ = [
     "GridFunction",
     "quadrature_weights",
     "trapezoid_integral",
     "inner_product",
-    "resample",
-    "sample_at",
-    "finite_diff",
     "snap_to_index",
     "read_grid_csv",
     "write_grid_csv",
@@ -174,78 +171,17 @@ def inner_product(f: GridFunction, g: GridFunction) -> float:
     return float(quadrature_weights(len(f), f.step) @ (f.values * g.values))
 
 
-def sample_at(f: GridFunction, times: np.ndarray) -> np.ndarray:
-    """Evaluate ``f`` at ``times`` by linear interpolation.
-
-    Points that coincide with grid points (within the alignment
-    tolerance) return the stored sample bit-for-bit. Points outside
-    the domain raise :class:`GridError`; there is no extrapolation.
-    """
-    times = np.asarray(times, dtype=float)
-    n = len(f)
-    pos = (times - f.start) / f.step
-    if pos.size:
-        tol = ALIGN_RTOL * max(1.0, float(np.max(np.abs(pos))))
-    else:
-        tol = ALIGN_RTOL
-    if np.any(pos < -tol) or np.any(pos > (n - 1) + tol):
-        raise GridError("requested points fall outside the function domain")
-    nearest = np.rint(pos)
-    pos = np.where(np.abs(pos - nearest) <= tol, nearest, pos)
-    if n == 1:
-        return np.full(pos.shape, f.values[0])
-    base = np.clip(np.floor(pos).astype(int), 0, n - 2)
-    frac = pos - base
-    vals = f.values
-    interp = vals[base] * (1.0 - frac) + vals[base + 1] * frac
-    out = np.where(frac == 0.0, vals[base], np.where(frac == 1.0, vals[base + 1], interp))
-    return out
-
-
-def resample(f: GridFunction, new_step: float) -> GridFunction:
-    """Resample ``f`` onto a new step by linear interpolation.
-
-    The new grid keeps the same start and spans the largest
-    sub-interval of the domain of ``f`` reachable with ``new_step``.
-    Exact at points shared with the old grid; in particular resampling
-    onto the same step returns the values bitwise.
-    """
-    new_step = float(new_step)
-    if not np.isfinite(new_step) or new_step <= 0.0:
-        raise GridError(f"new step must be positive and finite, got {new_step!r}")
-    m = int(np.floor(f.domain_length / new_step + ALIGN_RTOL)) + 1
-    times = f.start + new_step * np.arange(m)
-    return GridFunction(f.start, new_step, sample_at(f, times))
-
-
-def finite_diff(f: GridFunction) -> GridFunction:
-    """Second-order finite-difference derivative on the same grid.
-
-    Central differences in the interior, one-sided three-point stencils
-    at both endpoints. Needs at least three samples.
-    """
-    n = len(f)
-    if n < 3:
-        raise GridError("finite differences need at least three samples")
-    v = f.values
-    h = f.step
-    d = np.empty(n)
-    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return GridFunction(f.start, h, d)
-
-
 _CSV_HEADER = ("t", "value")
 
 
 def write_grid_csv(path, f: GridFunction) -> None:
-    """Write ``f`` as a two-column CSV ``t,value`` with full precision."""
-    times = f.times()
-    with open(path, "w", newline="") as handle:
-        handle.write("t,value\n")
-        for t, v in zip(times, f.values):
-            handle.write(f"{t:.17g},{v:.17g}\n")
+    """Write ``f`` atomically as a two-column CSV ``t,value`` with full precision.
+
+    Curve files are small and a design has thousands of them, so each is
+    formatted from Python floats into one string and written in one piece.
+    """
+    rows = [f"{t:.17g},{v:.17g}\n" for t, v in zip(f.times().tolist(), f.values.tolist())]
+    atomic_write(path, ["t,value\n" + "".join(rows)])
 
 
 def read_grid_csv(path) -> GridFunction:

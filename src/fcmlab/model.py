@@ -29,7 +29,6 @@ __all__ = [
     "predict",
     "sse",
     "check_conformal",
-    "zero_coefficients",
 ]
 
 
@@ -197,15 +196,6 @@ def check_conformal(design: Design, coef: CoefficientSet) -> None:
             raise ConformalityError(
                 f"lag kernel {j} has {len(b)} samples, lag {design.lags[j]!r} needs {length + 1}"
             )
-
-
-def zero_coefficients(design: Design) -> CoefficientSet:
-    """All-zero coefficients conformal with ``design``."""
-    betas = tuple(
-        GridFunction(0.0, design.step, np.zeros(length + 1))
-        for length in design.lag_lengths()
-    )
-    return CoefficientSet((0.0,) * (design.d + 1), betas)
 
 
 def lag_convolve(

@@ -6,6 +6,8 @@ exercised exactly as a shell user would hit them.
 """
 
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +178,41 @@ class TestDownsampleCommand:
         assert lines[0].startswith("obs,l,y,")
 
 
+class TestOutputFileModes:
+    def test_every_output_follows_the_umask(self, tmp_path, capsys):
+        # Outputs are created like a plain open(): mode 0o666 minus the umask.
+        old = os.umask(0o022)
+        try:
+            manifest = simulate(tmp_path, capsys)
+            out = tmp_path / "out"
+            out.mkdir()
+            commands = [
+                ["fit", "--design", str(manifest), "--out", str(out / "fit.json")],
+                [
+                    "diagnose",
+                    "--design",
+                    str(manifest),
+                    "--out",
+                    str(out / "diagnosis.json"),
+                    "--spectrum-csv",
+                    str(out / "spectrum.csv"),
+                    "--residuals-csv",
+                    str(out / "residuals.csv"),
+                ],
+                ["downsample", "--design", str(manifest), "--U", "0.25", "--out", str(out / "rows.csv")],
+            ]
+            for argv in commands:
+                assert main(argv) == 0
+        finally:
+            os.umask(old)
+        written = [p for p in tmp_path.rglob("*") if p.is_file() and p.name != "spec.json"]
+        names = {p.name for p in written}
+        assert {"manifest.json", "truth.json", "y.csv", "x00.csv", "fit.json", "rows.csv"} <= names
+        assert {"diagnosis.json", "spectrum.csv", "residuals.csv"} <= names
+        modes = {str(p.relative_to(tmp_path)): stat.S_IMODE(p.stat().st_mode) for p in written}
+        assert modes == {name: 0o644 for name in modes}
+
+
 class TestRankDeficientExit:
     def test_direct_solver_refuses_with_exit_3(self, tmp_path, capsys):
         manifest = simulate(tmp_path, capsys, **deficient_overrides())
@@ -282,6 +319,14 @@ class TestErrorReporting:
         assert code == 2
         assert err["error"] == "ValidationError"
         assert err.get("line") is not None
+
+    @pytest.mark.parametrize("lag", [0.3, 0.0])
+    def test_lag_off_the_step_grid_exits_2(self, tmp_path, capsys, lag):
+        spec = write_spec(tmp_path, lags=[lag])
+        code = main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "design")])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["field"] == "lags[0]"
 
     def test_output_colliding_with_input_exits_2(self, tmp_path, capsys):
         manifest = simulate(tmp_path, capsys)

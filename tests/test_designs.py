@@ -4,7 +4,6 @@ import pytest
 from fcmlab.designs import (
     GeneratorSpec,
     NoiseSpec,
-    center,
     gen_covariate,
     gen_design,
     mode_family_values,
@@ -180,44 +179,3 @@ class TestFilteredNoiseFloor:
         for K in range(1, 17):
             assert self_similarity_residual(x, K, alpha=0.5) > 0.05
 
-
-class TestCenter:
-    def test_constant_response_becomes_zero(self):
-        step = 1.0 / 16.0
-        spec = GeneratorSpec(
-            "filtered_noise", 1.0, step, seed=5,
-            params={"n_modes": 16, "max_frequency": 4.0, "bandwidth": 0.05},
-        )
-        beta = CoefficientSet((0.0,), (GridFunction(0.0, step, np.zeros(9)),))
-        design, _ = gen_design([spec], beta, NoiseSpec("white", sd=0.0), n=2, seed=3)
-        shifted = type(design)(
-            tuple(
-                type(o)(o.y.with_values(np.full(len(o.y), 4.2)), o.x, o.z)
-                for o in design.observations
-            ),
-            design.lags,
-            design.step,
-        )
-        centered = center(shifted)
-        for obs in centered.observations:
-            assert np.allclose(obs.y.values, 0.0, atol=1e-12)
-
-    def test_covariate_mean_curve_removed(self, noisy_design):
-        design, _ = noisy_design
-        centered = center(design)
-        stack = np.stack([o.x[0].values for o in centered.observations])
-        assert np.max(np.abs(stack.mean(axis=0))) < 1e-12
-
-    def test_idempotent(self, noisy_design):
-        design, _ = noisy_design
-        once = center(design)
-        twice = center(once)
-        for o1, o2 in zip(once.observations, twice.observations):
-            assert np.allclose(o1.y.values, o2.y.values, atol=1e-12)
-            assert np.allclose(o1.x[0].values, o2.x[0].values, atol=1e-12)
-
-    def test_drop_scalars(self, noisy_design):
-        design, _ = noisy_design
-        dropped = center(design, drop_scalars=True)
-        assert dropped.d == 0
-        assert all(o.z == () for o in dropped.observations)

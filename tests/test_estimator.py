@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from fcmlab.designs import GeneratorSpec, NoiseSpec, gen_design
+from fcmlab.downsample import fit_flm, flm_normal_equations, to_flm
 from fcmlab.errors import ConformalityError, NearSingularError
 from fcmlab.estimator import (
     CoefficientIndexMap,
@@ -262,3 +263,38 @@ class TestFit:
         design, _ = noisy_design
         with pytest.raises(ValueError):
             fit(design, solver="qr")
+
+
+class TestOneSolvePath:
+    @pytest.mark.parametrize(
+        "solver, expected", [("direct", 1), ("ridge", 1), ("truncated_svd", 2)]
+    )
+    def test_fit_decomposes_the_gram_matrix_once_per_need(
+        self, monkeypatch, noisy_design, solver, expected
+    ):
+        # The extremes come from one cached eigh shared by fit and the
+        # direct guard; only the truncated solver needs its own
+        # weighted eigendecomposition.
+        design, _ = noisy_design
+        calls = []
+        eigh = scipy.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(kwargs.get("eigvals_only", False))
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+        fit(design, solver=solver, lam=1e-6)
+        assert len(calls) == expected
+
+    def test_fit_flm_uses_the_direct_guard(self, deficient_design):
+        design, _ = deficient_design
+        data = to_flm(design, design.step)
+        with pytest.raises(NearSingularError) as via_fit:
+            fit_flm(data, 0.0)
+        with pytest.raises(NearSingularError) as via_solver:
+            solve_direct(flm_normal_equations(data))
+        assert (via_fit.value.min_eig, via_fit.value.max_eig) == (
+            via_solver.value.min_eig,
+            via_solver.value.max_eig,
+        )

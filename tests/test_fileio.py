@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fcmlab import fileio
+from fcmlab import fileio, util
 from fcmlab.designs import GeneratorSpec, NoiseSpec, gen_design
 from fcmlab.downsample import to_flm
 from fcmlab.errors import ValidationError
@@ -107,12 +107,27 @@ class TestAtomicWrite:
     def test_overwrites_existing_file(self, tmp_path):
         path = tmp_path / "out.json"
         path.write_text("old")
-        fileio.atomic_write_text(path, "new")
+        util.atomic_write(path, ["new"])
         assert path.read_text() == "new"
 
     def test_leaves_no_temp_files(self, tmp_path):
-        fileio.atomic_write_text(tmp_path / "out.json", "payload")
+        util.atomic_write(tmp_path / "out.json", ["pay", "load"])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+        assert (tmp_path / "out.json").read_text() == "payload"
+
+    def test_failing_chunks_leave_target_unchanged(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("old\n")
+
+        def chunks():
+            yield "a,b\n"
+            yield "1,2\n"
+            raise RuntimeError("formatting failed")
+
+        with pytest.raises(RuntimeError):
+            util.atomic_write(path, chunks())
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv"]
 
 
 class TestPayloads:
@@ -188,6 +203,14 @@ class TestSimulationSpec:
     def test_unsupported_version_rejected(self):
         with pytest.raises(ValidationError):
             fileio.parse_simulation_spec(spec_dict(format_version=99))
+
+    @pytest.mark.parametrize("lag", [0.3, 0.0])
+    def test_lag_off_the_step_grid_names_the_field(self, lag):
+        # 0.3 is 2.4 steps of 0.125; 0 is a multiple but not a positive one.
+        with pytest.raises(ValidationError) as exc:
+            fileio.parse_simulation_spec(spec_dict(lags=[lag]))
+        assert exc.value.field == "lags[0]"
+        assert "positive multiple" in str(exc.value)
 
     def test_wrong_type_names_the_field(self):
         with pytest.raises(ValidationError) as exc:

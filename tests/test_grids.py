@@ -6,12 +6,9 @@ from hypothesis import strategies as st
 from fcmlab.errors import GridError, ValidationError
 from fcmlab.grids import (
     GridFunction,
-    finite_diff,
     inner_product,
     quadrature_weights,
     read_grid_csv,
-    resample,
-    sample_at,
     snap_to_index,
     trapezoid_integral,
     write_grid_csv,
@@ -162,66 +159,6 @@ class TestQuadratureWeights:
         f = on_unit_interval(0.125, lambda t: t**3)
         w = quadrature_weights(len(f), f.step)
         assert float(w @ f.values) == pytest.approx(trapezoid_integral(f), abs=1e-15)
-
-
-class TestResample:
-    def test_identity_is_bitwise(self):
-        f = on_unit_interval(0.125, lambda t: np.cos(t))
-        g = resample(f, 0.125)
-        assert np.array_equal(g.values, f.values)
-
-    def test_linear_function_is_exact(self):
-        f = on_unit_interval(0.25, lambda t: 3.0 * t - 1.0)
-        g = resample(f, 0.125)
-        assert np.allclose(g.values, 3.0 * g.times() - 1.0, atol=1e-15)
-
-    def test_quadratic_midpoint_error(self):
-        # Linear interpolation of t^2 misses midpoints by exactly
-        # step^2/4 (the curvature is 2, not 1).
-        h = 1.0 / 8.0
-        f = on_unit_interval(h, lambda t: t * t)
-        g = resample(f, h / 2.0)
-        err = np.max(np.abs(g.values - g.times() ** 2))
-        assert err == pytest.approx(h * h / 4.0, rel=1e-12)
-
-    def test_new_grid_never_leaves_domain(self):
-        f = on_unit_interval(0.25, lambda t: t)
-        g = resample(f, 0.3)
-        assert g.end <= f.end + 1e-12
-        assert len(g) == 4
-
-    def test_nonpositive_step_raises(self):
-        f = on_unit_interval(0.25, lambda t: t)
-        with pytest.raises(GridError):
-            resample(f, 0.0)
-
-    def test_point_evaluation_outside_domain_raises(self):
-        f = on_unit_interval(0.25, lambda t: t)
-        with pytest.raises(GridError):
-            sample_at(f, np.array([1.25]))
-
-
-class TestFiniteDiff:
-    def test_constant_has_zero_derivative(self):
-        f = on_unit_interval(0.25, lambda t: np.full_like(t, 4.2))
-        assert np.allclose(finite_diff(f).values, 0.0, atol=1e-14)
-
-    def test_quadratic_exact_inside(self):
-        f = on_unit_interval(0.125, lambda t: t * t)
-        d = finite_diff(f)
-        assert np.allclose(d.values[1:-1], 2.0 * d.times()[1:-1], atol=1e-13)
-
-    def test_exponential_error_bound(self):
-        h = 1.0 / 256.0
-        f = on_unit_interval(h, lambda t: np.exp(0.3 * t))
-        d = finite_diff(f)
-        truth = 0.3 * np.exp(0.3 * d.times())
-        interior = np.max(np.abs(d.values[1:-1] - truth[1:-1]))
-        assert interior <= 0.3**3 * np.exp(0.3) * h * h
-
-    def test_needs_three_samples(self):
-        with pytest.raises(GridError):
-            finite_diff(grid(0.5, [1.0, 2.0]))
 
 
 class TestSnapToIndex:

@@ -12,7 +12,6 @@ from fcmlab.model import (
     lag_convolve,
     predict,
     sse,
-    zero_coefficients,
 )
 
 
@@ -72,8 +71,7 @@ class TestLagConvolve:
 class TestPredict:
     def test_all_zero_coefficients_give_intercept(self):
         design = const_design(3.0)
-        coef = zero_coefficients(design)
-        coef = CoefficientSet((2.5,), coef.betas)
+        coef = CoefficientSet((2.5,), (kernel(design.step, 1.0, np.zeros_like),))
         out = predict(design, coef, 0)
         assert np.allclose(out.values, 2.5, atol=1e-15)
 
@@ -131,8 +129,11 @@ class TestSse:
         assert sse(design, truth) <= 1e-18
 
     def test_zero_coefficients_reduce_to_response_energy(self, noisy_design):
-        design, _ = noisy_design
-        coef = zero_coefficients(design)
+        design, truth = noisy_design
+        coef = CoefficientSet(
+            (0.0,) * len(truth.beta0),
+            tuple(b.with_values(np.zeros(len(b))) for b in truth.betas),
+        )
         energy = sum(
             trapezoid_integral(
                 obs.y.restrict(design.alpha_star, obs.y.end).with_values(
