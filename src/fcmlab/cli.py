@@ -2,9 +2,10 @@
 
 Every command reads and writes files; stdout carries a single JSON
 summary line on success and stderr carries a machine-readable JSON
-error object on failure. Exit codes: 0 success, 1 I/O or experiment
-failure, 2 validation error, 3 near-singular system without
-``--allow-rank-deficient``.
+error object on failure. All JSON is strict: no ``NaN`` or
+``Infinity``. Exit codes: 0 success, 1 I/O or experiment failure, 2
+validation error (including any other ``ValueError``), 3 near-singular
+system without ``--allow-rank-deficient``.
 
 Flags may also be supplied through ``--config file.json`` holding an
 object keyed by flag name (dashes as underscores); explicit flags win
@@ -18,6 +19,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from fcmlab import fileio
 from fcmlab.designs import gen_design
@@ -75,7 +77,7 @@ class RunConfig:
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload) + "\n")
+    sys.stdout.write(json.dumps(payload, allow_nan=False) + "\n")
 
 
 def _cmd_simulate(config: RunConfig) -> int:
@@ -118,14 +120,9 @@ def _cmd_fit(config: RunConfig) -> int:
             raise
         result = fit(design, solver="truncated_svd", svd_rel_tol=config.svd_rel_tol)
     fileio.write_fit_result(config.out_path, result)
-    _emit(
-        {
-            "out": config.out_path,
-            "solver_used": result.solver_used,
-            "sse": result.sse_value,
-            "gram_condition": result.gram_condition,
-        }
-    )
+    payload = fileio.fit_payload(result)
+    summary = {k: payload[k] for k in ("solver_used", "sse", "gram_condition")}
+    _emit({"out": config.out_path, **summary})
     return 0
 
 
@@ -194,20 +191,25 @@ _COMMANDS = {
 }
 
 
+def _dispatch(config: RunConfig) -> int:
+    config.validate()
+    return _COMMANDS[config.command](config)
+
+
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit code."""
+    return _guarded(lambda: _dispatch(config))
+
+
+def _guarded(action: Callable[[], int]) -> int:
+    """Call ``action``; report a failure as one JSON error object and an exit code."""
     try:
-        config.validate()
-        return _COMMANDS[config.command](config)
-    except NearSingularError as exc:
+        return action()
+    except (FcmlabError, ValueError, OSError) as exc:
         _error_json(exc)
-        return 3
-    except FcmlabError as exc:
-        _error_json(exc)
-        return 2
-    except OSError as exc:
-        _error_json(exc)
-        return 1
+        if isinstance(exc, NearSingularError):
+            return 3
+        return 1 if isinstance(exc, OSError) else 2
 
 
 def _error_json(exc: Exception) -> None:
@@ -222,7 +224,7 @@ def _error_json(exc: Exception) -> None:
     if isinstance(exc, NearSingularError):
         payload["min_eigenvalue"] = exc.min_eig
         payload["max_eigenvalue"] = exc.max_eig
-    sys.stderr.write(json.dumps(payload) + "\n")
+    sys.stderr.write(json.dumps(payload, allow_nan=False) + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -343,15 +345,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        config = _resolve(args)
-    except FcmlabError as exc:
-        _error_json(exc)
-        return 2
-    except OSError as exc:
-        _error_json(exc)
-        return 1
-    return run(config)
+    return _guarded(lambda: _dispatch(_resolve(args)))
 
 
 if __name__ == "__main__":

@@ -49,7 +49,7 @@ FORMAT_VERSION = 1
 
 
 def _write_json(path, payload: Mapping[str, Any]) -> None:
-    atomic_write(path, [json.dumps(payload, indent=2, sort_keys=False) + "\n"])
+    atomic_write(path, [json.dumps(payload, indent=2, sort_keys=False, allow_nan=False) + "\n"])
 
 
 def write_design(design: Design, out_dir) -> Path:
@@ -192,14 +192,19 @@ def read_truth(path) -> CoefficientSet:
 
 
 def fit_payload(result: FitResult) -> dict[str, Any]:
-    """JSON-ready view of a fit result."""
+    """JSON-ready view of a fit result.
+
+    ``gram_condition`` is None (JSON ``null``) when it is infinite,
+    that is when the smallest eigenvalue of ``G`` is nonpositive.
+    """
+    cond = result.gram_condition
     return {
         "format_version": FORMAT_VERSION,
         "solver_used": result.solver_used,
         "sse": result.sse_value,
         "gram_min_eigenvalue": result.gram_min_eigenvalue,
         "gram_max_eigenvalue": result.gram_max_eigenvalue,
-        "gram_condition": result.gram_condition,
+        "gram_condition": None if np.isinf(cond) else cond,
         "truncation_rank": result.truncation_rank,
         "coefficients": coefficients_to_dict(result.coef),
     }
@@ -339,6 +344,10 @@ def parse_simulation_spec(raw: Mapping[str, Any], source=None):
     for j, (entry, alpha) in enumerate(zip(betas_raw, lags)):
         if not isinstance(entry, dict):
             raise ValidationError("kernel entry must be an object", source=source, field=f"betas[{j}]")
+        if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) or not np.isfinite(alpha):
+            raise ValidationError(
+                f"lag {alpha!r} is not a finite number", source=source, field=f"lags[{j}]"
+            )
         try:
             m = snap_to_index(float(alpha) / step)
         except GridError:

@@ -187,8 +187,9 @@ def write_grid_csv(path, f: GridFunction) -> None:
 def read_grid_csv(path) -> GridFunction:
     """Read a ``t,value`` CSV written on a uniform, strictly increasing grid.
 
-    Spacing is validated to a relative tolerance of 1e-9; violations
-    raise :class:`ValidationError` with the offending line number.
+    Every entry must be a finite number, and spacing is validated to a
+    relative tolerance of 1e-9; violations raise :class:`ValidationError`
+    with the offending line number.
     """
     times: list[float] = []
     values: list[float] = []
@@ -219,6 +220,13 @@ def read_grid_csv(path) -> GridFunction:
     if len(times) < 2:
         raise ValidationError("need at least two samples", source=path)
     t = np.asarray(times)
+    v = np.asarray(values)
+    bad = np.flatnonzero(~(np.isfinite(t) & np.isfinite(v)))
+    if bad.size:
+        k = int(bad[0])
+        raise ValidationError(
+            f"non-finite entry {times[k]!r},{values[k]!r}", source=path, line=k + 2
+        )
     step = (t[-1] - t[0]) / (len(t) - 1)
     if step <= 0.0:
         raise ValidationError("times must be strictly increasing", source=path, line=2)
@@ -231,4 +239,4 @@ def read_grid_csv(path) -> GridFunction:
             source=path,
             line=lineno,
         )
-    return GridFunction(float(t[0]), float(step), np.asarray(values))
+    return GridFunction(float(t[0]), float(step), v)

@@ -18,8 +18,7 @@ from the recurrence roots.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +27,7 @@ from fcmlab.errors import ConformalityError, GridError, NearSingularError
 from fcmlab.estimator import GramSystem, assemble
 from fcmlab.grids import GridFunction, inner_product, quadrature_weights, snap_to_index
 from fcmlab.model import CoefficientSet, Design, check_conformal, lag_convolve
-from fcmlab.util import numerical_rank, thread_count
+from fcmlab.util import numerical_rank
 
 __all__ = [
     "SpectrumReport",
@@ -265,16 +264,29 @@ def recurrence_modes(coeffs: np.ndarray, step: float) -> tuple[Mode, ...]:
     return tuple(modes)
 
 
+def _tail_energy(s: np.ndarray) -> np.ndarray:
+    """Relative tail energy ``||s[K:]|| / ||s||`` for every ``K = 0 .. len(s)``.
+
+    The last entry is zero by construction; an all-zero spectrum gives
+    all zeros.
+    """
+    total = float(np.linalg.norm(s))
+    if total == 0.0:
+        return np.zeros(s.size + 1)
+    tails = np.sqrt(np.concatenate((np.cumsum((s**2)[::-1])[::-1], [0.0])))
+    return tails / total
+
+
 @dataclass(frozen=True)
 class SelfSimilarityReport:
     """Self-similarity analysis of one covariate curve.
 
     ``singular_values`` come from the delay-embedding matrix.
-    ``estimated_order`` is the smallest recurrence order whose relative
-    tail energy falls below the detection tolerance (capped at the
-    number of singular values). ``residual`` is the relative misfit of
-    the best approximation at that order. ``recurrence_coeffs`` and
-    ``modes`` are populated when a parsimonious order was found and the
+    ``estimated_order`` is the smallest order ``K >= 1`` whose relative
+    tail energy falls below the detection tolerance; the tail at the
+    full spectrum length is zero, so the search always ends there at
+    the latest. ``recurrence_coeffs`` and ``modes`` are populated when
+    the order is parsimonious (see :attr:`finite_dimensional`) and the
     recurrence at that order is well posed; otherwise they are None.
     """
 
@@ -282,34 +294,26 @@ class SelfSimilarityReport:
     estimated_order: int
     recurrence_coeffs: np.ndarray | None
     modes: tuple[Mode, ...] | None
-    residual: float
 
     @property
     def residual_curve(self) -> np.ndarray:
         """Relative tail energy for every order ``K = 0 .. len(sigma)``."""
-        s = self.singular_values
-        total = float(np.linalg.norm(s))
-        if total == 0.0:
-            return np.zeros(s.size + 1)
-        tails = np.sqrt(np.concatenate((np.cumsum((s**2)[::-1])[::-1], [0.0])))
-        return tails / total
+        return _tail_energy(self.singular_values)
+
+    @property
+    def residual(self) -> float:
+        """Relative misfit of the best approximation at the estimated order."""
+        return float(self.residual_curve[self.estimated_order])
 
     @property
     def finite_dimensional(self) -> bool:
-        """True when the curve is explained strictly before the spectrum runs out.
+        """True when the curve is explained by at most half the embedding spectrum.
 
-        The tail energy at the full spectrum length is zero by
-        construction, so only an order below that cap counts as a
-        genuine parsimonious explanation.
+        An order that needs more than half of the singular values is not
+        a parsimonious explanation: broadband curves reach the detection
+        tolerance only there, as the spectrum runs out.
         """
-        return self.estimated_order < self.singular_values.size
-
-
-def _tail_residual(singular_values: np.ndarray, order: int) -> float:
-    total = float(np.linalg.norm(singular_values))
-    if total == 0.0:
-        return 0.0
-    return float(np.linalg.norm(singular_values[order:]) / total)
+        return self.estimated_order <= self.singular_values.size // 2
 
 
 def self_similarity_residual(
@@ -339,7 +343,7 @@ def self_similarity_residual(
             f"order {order} exceeds the {H.shape[1]} embedding columns"
         )
     s = scipy.linalg.svdvals(H)
-    return _tail_residual(s, int(order))
+    return float(_tail_energy(s)[int(order)])
 
 
 @dataclass(frozen=True)
@@ -361,36 +365,27 @@ class DiagnosisReport:
 
 
 def _analyze_curve(x: GridFunction, alpha: float, tol: float) -> SelfSimilarityReport:
-    H = delay_embed(x, alpha)
-    s = scipy.linalg.svdvals(H)
-    order = s.size
-    for k in range(1, s.size + 1):
-        if _tail_residual(s, k) < tol:
-            order = k
-            break
-    residual = _tail_residual(s, order)
-    coeffs: np.ndarray | None = None
-    modes: tuple[Mode, ...] | None = None
-    if order < s.size and len(x) >= 3 * order:
-        try:
-            coeffs = fit_recurrence(x, order)
-            modes = recurrence_modes(coeffs, x.step)
-        except NearSingularError:
-            coeffs = None
-            modes = None
-    s = np.asarray(s, dtype=float)
+    s = np.asarray(scipy.linalg.svdvals(delay_embed(x, alpha)), dtype=float)
     s.setflags(write=False)
-    return SelfSimilarityReport(s, order, coeffs, modes, residual)
+    # The last tail is zero, so some K >= 1 is always below tol.
+    order = 1 + int(np.argmax(_tail_energy(s)[1:] < tol))
+    report = SelfSimilarityReport(s, order, None, None)
+    if not report.finite_dimensional or len(x) < 3 * order:
+        return report
+    try:
+        coeffs = fit_recurrence(x, order)
+    except NearSingularError:
+        return report
+    return replace(report, recurrence_coeffs=coeffs, modes=recurrence_modes(coeffs, x.step))
 
 
 def diagnose(design: Design, tol: float = DEFAULT_RESIDUAL_TOL) -> DiagnosisReport:
     """Full identifiability diagnosis of a design.
 
     Assembles the normal matrix once for the spectral verdict and runs
-    the self-similarity detector on every covariate curve (in parallel
-    across curves, capped by the FCMLAB_THREADS environment variable).
-    The detection tolerance ``tol`` applies to both the spectrum rank
-    cut and the recurrence-order search.
+    the self-similarity detector on every covariate curve, one after
+    another. The detection tolerance ``tol`` applies to both the
+    spectrum rank cut and the recurrence-order search.
     """
     system = assemble(design)
     spectrum = gram_spectrum(system, tol=tol)
@@ -399,12 +394,7 @@ def diagnose(design: Design, tol: float = DEFAULT_RESIDUAL_TOL) -> DiagnosisRepo
         for obs in design.observations
         for j in range(design.p)
     ]
-    workers = thread_count(len(jobs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(lambda job: _analyze_curve(job[0], job[1], tol), jobs))
-    else:
-        flat = [_analyze_curve(x, a, tol) for x, a in jobs]
+    flat = [_analyze_curve(x, a, tol) for x, a in jobs]
     reports = tuple(
         tuple(flat[i * design.p + j] for j in range(design.p))
         for i in range(design.n)

@@ -1,4 +1,4 @@
-"""Small shared helpers: atomic file writes, thread budgeting and rank counting."""
+"""Small shared helpers: atomic file writes and rank counting."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
-
-THREADS_ENV_VAR = "FCMLAB_THREADS"
 
 
 def atomic_write(path, chunks: Iterable[str]) -> None:
@@ -32,22 +30,6 @@ def atomic_write(path, chunks: Iterable[str]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def thread_count(n_jobs: int) -> int:
-    """Number of worker threads to use for ``n_jobs`` independent tasks.
-
-    Respects the ``FCMLAB_THREADS`` environment variable as a hard cap;
-    unset or unparsable values fall back to the CPU count.
-    """
-    cap = os.cpu_count() or 1
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is not None:
-        try:
-            cap = int(raw)
-        except ValueError:
-            cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
 
 
 def numerical_rank(values: np.ndarray, tol: float) -> int:

@@ -56,6 +56,24 @@ def simulate(tmp_path: Path, capsys, **overrides) -> Path:
     return Path(summary["manifest"])
 
 
+def strict_json(text: str):
+    """Parse ``text`` as RFC 8259 JSON, rejecting NaN and Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def single_error(capsys) -> dict:
+    """The one JSON error object on stderr, with no traceback beside it."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    return strict_json(lines[0])
+
+
 def deficient_overrides():
     """Spec overrides for a rank-deficient but penalizable design.
 
@@ -242,6 +260,17 @@ class TestRankDeficientExit:
         assert payload["solver_used"] == "truncated_svd"
         assert payload["truncation_rank"] < len(payload["coefficients"]["betas"][0]["values"]) + 1
 
+    def test_infinite_condition_is_written_as_null(self, tmp_path, capsys):
+        manifest = simulate(tmp_path, capsys, **deficient_overrides())
+        fit_path = tmp_path / "fit.json"
+        code = main(["fit", "--design", str(manifest), "--out", str(fit_path), "--solver", "svd"])
+        assert code == 0
+        summary = strict_json(capsys.readouterr().out)
+        payload = strict_json(fit_path.read_text())
+        assert payload["gram_min_eigenvalue"] <= 0.0
+        assert summary["gram_condition"] is None
+        assert payload["gram_condition"] is None
+
 
 class TestConfigFile:
     def test_config_supplies_missing_flags(self, tmp_path, capsys):
@@ -320,13 +349,37 @@ class TestErrorReporting:
         assert err["error"] == "ValidationError"
         assert err.get("line") is not None
 
-    @pytest.mark.parametrize("lag", [0.3, 0.0])
+    @pytest.mark.parametrize("lag", [0.3, 0.0, "abc"])
     def test_lag_off_the_step_grid_exits_2(self, tmp_path, capsys, lag):
         spec = write_spec(tmp_path, lags=[lag])
         code = main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "design")])
-        err = json.loads(capsys.readouterr().err)
+        err = single_error(capsys)
         assert code == 2
         assert err["field"] == "lags[0]"
+
+    def test_non_numeric_generator_parameter_exits_2(self, tmp_path, capsys):
+        covariates = [{"kind": "filtered_noise", "params": {"n_modes": "abc"}}]
+        spec = write_spec(tmp_path, covariates=covariates)
+        code = main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "design")])
+        err = single_error(capsys)
+        assert code == 2
+        assert err["error"] == "ValueError"
+
+    @pytest.mark.parametrize("curve, entry", [("y.csv", "nan"), ("x00.csv", "inf")])
+    def test_non_finite_sample_exits_2_naming_the_line(self, tmp_path, capsys, curve, entry):
+        manifest = simulate(tmp_path, capsys)
+        path = manifest.parent / "obs000" / curve
+        lines = path.read_text().splitlines()
+        t, _ = lines[8].split(",")
+        lines[8] = f"{t},{entry}"
+        path.write_text("\n".join(lines) + "\n")
+
+        code = main(["fit", "--design", str(manifest), "--out", str(tmp_path / "f.json")])
+        err = single_error(capsys)
+        assert code == 2
+        assert err["error"] == "ValidationError"
+        assert err["line"] == 9
+        assert err["source"].endswith(curve)
 
     def test_output_colliding_with_input_exits_2(self, tmp_path, capsys):
         manifest = simulate(tmp_path, capsys)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from fcmlab import identifiability
 from fcmlab.designs import GeneratorSpec, gen_covariate
 from fcmlab.errors import GridError, NearSingularError
 from fcmlab.estimator import assemble
@@ -310,6 +311,48 @@ class TestDiagnose:
         report = diagnose(design)
         assert not report.identifiable
         assert report.spectrum.numerical_rank < report.spectrum.eigenvalues.size
+
+    def test_broadband_order_past_half_window_is_not_parsimonious(self, monkeypatch):
+        # Filtered noise reaches the tolerance only near the end of its
+        # 65 singular values, so no recurrence is worth fitting.
+        step = 1.0 / 128.0
+        spec = GeneratorSpec(
+            "filtered_noise", 2.0, step, seed=3,
+            params={"n_modes": 256, "max_frequency": 0.4 / step, "bandwidth": step},
+        )
+        calls = []
+        monkeypatch.setattr(
+            identifiability, "fit_recurrence", lambda *args: calls.append(args)
+        )
+        report = diagnose(curve_design(gen_covariate(spec), 0.5))
+        rep = report.covariate_reports[0][0]
+        assert rep.singular_values.size // 2 < rep.estimated_order < rep.singular_values.size
+        assert not rep.finite_dimensional
+        assert report.finite_dimensional == (False,)
+        assert rep.recurrence_coeffs is None and rep.modes is None
+        assert calls == []
+
+    def test_order_at_half_window_keeps_recurrence(self):
+        # Two tones need order 4, exactly half of an 8-column window.
+        step = 1.0 / 16.0
+        x = curve(
+            lambda t: np.sin(2 * np.pi * t) + 0.5 * np.sin(6 * np.pi * t + 0.3),
+            T=3.0, step=step,
+        )
+        rep = diagnose(curve_design(x, 7 * step)).covariate_reports[0][0]
+        assert rep.singular_values.size == 8
+        assert rep.estimated_order == 4
+        assert rep.finite_dimensional
+        assert rep.recurrence_coeffs is not None
+        assert sorted(m.b for m in rep.modes) == pytest.approx([2 * np.pi, 6 * np.pi], abs=1e-6)
+
+    def test_residual_is_the_curve_at_the_estimated_order(self, noisy_design):
+        terms = [{"a": -0.2, "b": 7.0}, {"a": 0.1, "b": 17.0}, {"a": -0.3, "b": 27.0}]
+        x = gen_covariate(GeneratorSpec("self_similar", 6.0, 1.0 / 64.0, params={"terms": terms}))
+        for design in (noisy_design[0], curve_design(x, 1.0)):
+            for row in diagnose(design).covariate_reports:
+                for rep in row:
+                    assert rep.residual == rep.residual_curve[rep.estimated_order]
 
     def test_null_directions_have_zero_quadratic_form(self, deficient_design):
         design, _ = deficient_design
