@@ -8,8 +8,8 @@ validation error (including any other ``ValueError``), 3 near-singular
 system without ``--allow-rank-deficient``.
 
 Flags may also be supplied through ``--config file.json`` holding an
-object keyed by flag name (dashes as underscores); explicit flags win
-over config-file values.
+object keyed by :class:`RunConfig` field (dashes or underscores), each
+value of that field's type; explicit flags win over config-file values.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -283,25 +283,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_FIELDS = (
-    "spec_path",
-    "design_path",
-    "out_path",
-    "solver",
-    "lam",
-    "tol",
-    "pivot_tol",
-    "svd_rel_tol",
-    "seed",
-    "U",
-    "allow_rank_deficient",
-    "experiment",
-    "list_experiments",
-    "spectrum_csv",
-    "residuals_csv",
-)
+# Config-file keys are the RunConfig fields other than `command`, each
+# with the type its annotation names first. JSON numbers (never
+# booleans) become floats; `seed` must be a JSON integer.
+_CONFIG_FIELDS = {
+    f.name: {"str": str, "float": float, "int": int, "bool": bool}[f.type.split(" |")[0]]
+    for f in fields(RunConfig)
+    if f.name != "command"
+}
+
+_KIND_NAMES = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string"}
 
 _DEFAULTS = RunConfig(command="fit")
+
+
+def _config_value(key: str, kind: type, value, source):
+    """Check one config-file value against its field's type; numbers become floats."""
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:  # false for nan, inf and out-of-range integers
+            return float(value)
+    elif isinstance(value, kind) and (kind is bool) == isinstance(value, bool):
+        return value
+    raise ValidationError(
+        f"expected {_KIND_NAMES[kind]} for {key!r}, got {type(value).__name__}",
+        source=source,
+        field=key,
+    )
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
@@ -317,30 +324,13 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             raise ValidationError("config file must hold a JSON object", source=config_path)
         for key, value in raw.items():
             name = key.replace("-", "_")
-            if name not in _CONFIG_FIELDS:
+            kind = _CONFIG_FIELDS.get(name)
+            if kind is None:
                 raise ValidationError(f"unknown config key {key!r}", source=config_path, field=key)
-            file_values[name] = value
-    merged: dict = {"command": args.command}
-    for name in _CONFIG_FIELDS:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            merged[name] = flag
-        elif name in file_values:
-            merged[name] = file_values[name]
-        else:
-            merged[name] = getattr(_DEFAULTS, name)
-    config = RunConfig(**merged)
-    config.lam = float(config.lam)
-    config.tol = float(config.tol)
-    config.pivot_tol = float(config.pivot_tol)
-    config.svd_rel_tol = float(config.svd_rel_tol)
-    if config.seed is not None:
-        config.seed = int(config.seed)
-    if config.U is not None:
-        config.U = float(config.U)
-    config.allow_rank_deficient = bool(config.allow_rank_deficient)
-    config.list_experiments = bool(config.list_experiments)
-    return config
+            file_values[name] = _config_value(key, kind, value, config_path)
+    flags = {name: getattr(args, name, None) for name in _CONFIG_FIELDS}
+    config = replace(_DEFAULTS, command=args.command, **file_values)
+    return replace(config, **{name: v for name, v in flags.items() if v is not None})
 
 
 def main(argv=None) -> int:

@@ -33,8 +33,8 @@ from typing import Mapping
 import numpy as np
 
 from fcmlab.errors import ValidationError
-from fcmlab.grids import GridFunction, quadrature_weights, snap_to_index
-from fcmlab.model import CoefficientSet, Design, Observation
+from fcmlab.grids import GridFunction, snap_to_index
+from fcmlab.model import CoefficientSet, Design, Observation, _lag_sum
 
 __all__ = [
     "GeneratorSpec",
@@ -268,8 +268,7 @@ def gen_design(
             level += bk * zk
         signal = np.full(len(xs[0]), level)
         for xj, bj in zip(xs, beta_true.betas):
-            w = quadrature_weights(len(bj), step) * bj.values
-            signal += np.convolve(xj.values, w)[: len(xj)]
+            signal += _lag_sum(xj.values, bj.values, step)[: len(xj)]
         eps = _noise_curve(noise, signal.size, rng)
         y = GridFunction(0.0, step, signal + eps)
         observations.append(Observation(y, xs, z))

@@ -25,7 +25,7 @@ from fcmlab.estimator import (
     solve_penalized,
 )
 from fcmlab.grids import snap_to_index
-from fcmlab.model import CoefficientSet, Design
+from fcmlab.model import CoefficientSet, Design, delay_matrix
 
 __all__ = ["FlmDataset", "to_flm", "fit_flm", "flm_normal_equations", "flm_row_residuals"]
 
@@ -79,7 +79,7 @@ def to_flm(design: Design, U: float) -> FlmDataset:
     ys, zs, obs_ids, l_ids = [], [], [], []
     window_parts: list[list[np.ndarray]] = [[] for _ in range(design.p)]
     counts = []
-    imap = CoefficientIndexMap.from_design(design)
+    lag_lengths = design.lag_lengths()
     for i, obs in enumerate(design.observations):
         n_rows = (len(obs.y) - 1 - k0) // stride + 1
         counts.append(n_rows)
@@ -88,10 +88,8 @@ def to_flm(design: Design, U: float) -> FlmDataset:
         zs.append(np.tile(np.asarray(obs.z, dtype=float), (n_rows, 1)))
         obs_ids.append(np.full(n_rows, i, dtype=int))
         l_ids.append(np.arange(n_rows, dtype=int))
-        for j in range(design.p):
-            L = imap.sizes[j] - 1
-            idx = t_idx[:, None] - np.arange(L + 1)[None, :]
-            window_parts[j].append(obs.x[j].values[idx])
+        for j, (xj, L) in enumerate(zip(obs.x, lag_lengths)):
+            window_parts[j].append(delay_matrix(xj.values, t_idx, L))
     return FlmDataset(
         U=float(U),
         step=design.step,
@@ -106,33 +104,21 @@ def to_flm(design: Design, U: float) -> FlmDataset:
     )
 
 
-def _design_matrix(data: FlmDataset) -> tuple[np.ndarray, CoefficientIndexMap]:
-    imap = data.index_map()
-    A = np.zeros((data.row_count, imap.size))
-    A[:, 0] = 1.0
-    if data.d:
-        A[:, 1 : 1 + data.d] = data.z
-    w = imap.lag_weights()
-    for j in range(len(data.lags)):
-        sl = imap.covariate_slice(j)
-        A[:, sl] = data.windows[j] * w[sl][None, :]
-    return A, imap
-
-
 def flm_normal_equations(data: FlmDataset) -> GramSystem:
     """Normal equations ``A'A c = A'y`` of the row regression.
 
     Rows count equally (no time quadrature); the entry weights are the
     lag quadrature weights of the full estimator.
     """
-    A, imap = _design_matrix(data)
+    imap = data.index_map()
+    A = imap.rows(data.z, data.windows)
     return GramSystem(A.T @ A, A.T @ data.y, imap, imap.lag_weights())
 
 
 def flm_row_residuals(data: FlmDataset, coef: CoefficientSet) -> np.ndarray:
     """Row-wise residuals ``y - prediction`` at the given coefficients."""
-    A, imap = _design_matrix(data)
-    return data.y - A @ imap.pack(coef)
+    imap = data.index_map()
+    return data.y - imap.rows(data.z, data.windows) @ imap.pack(coef)
 
 
 def fit_flm(

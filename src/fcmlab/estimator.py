@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -22,7 +23,8 @@ import scipy.linalg
 from fcmlab import model as model_mod
 from fcmlab.errors import ConformalityError, GridError, NearSingularError
 from fcmlab.grids import GridFunction, quadrature_weights
-from fcmlab.model import CoefficientSet, Design
+from fcmlab.model import CoefficientSet, Design, delay_matrix
+from fcmlab.util import numerical_rank
 
 __all__ = [
     "CoefficientIndexMap",
@@ -90,6 +92,23 @@ class CoefficientIndexMap:
             w[sl] = quadrature_weights(self.sizes[j], self.step)
         return w
 
+    def rows(self, z, windows: Sequence[np.ndarray]) -> np.ndarray:
+        """Regression rows ``[1, z, w * windows]`` in this layout.
+
+        ``z`` holds the scalar covariates (one row per regression row, or
+        one row for all); ``windows[j]`` is covariate ``j``'s
+        :func:`fcmlab.model.delay_matrix`, scaled here by the lag
+        quadrature weights ``w``, so that ``rows @ c`` is the prediction.
+        """
+        A = np.zeros((windows[0].shape[0], self.size))
+        A[:, 0] = 1.0
+        A[:, 1 : self.d + 1] = z
+        w = self.lag_weights()
+        for j, H in enumerate(windows):
+            sl = self.covariate_slice(j)
+            np.multiply(H, w[sl], out=A[:, sl])
+        return A
+
     def pack(self, coef: CoefficientSet) -> np.ndarray:
         c = np.empty(self.size)
         if len(coef.beta0) != self.d + 1 or len(coef.betas) != len(self.lags):
@@ -147,6 +166,16 @@ class GramSystem:
     def size(self) -> int:
         return self.index_map.size
 
+    def weighted_eigh(self, block: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Eigendecompose ``G[block, block] / outer(S, S)``, ``S = sqrt(weights[block])``.
+
+        Returns the ascending eigenvalues, the eigenvectors and ``S``; an
+        eigenvector divided by ``S`` is a coefficient direction.
+        """
+        S = np.sqrt(self.weights[block])
+        evals, vecs = scipy.linalg.eigh(self.G[block, block] / np.outer(S, S))
+        return evals, vecs, S
+
     @cached_property
     def extremes(self) -> tuple[float, float]:
         """Smallest and largest eigenvalue of the unweighted ``G``, computed once."""
@@ -169,17 +198,8 @@ def observation_rows(design: Design, i: int, t_indices: np.ndarray) -> tuple[np.
     min_lag_steps = max(s - 1 for s in imap.sizes)
     if t_indices.size and (t_indices.min() < min_lag_steps or t_indices.max() >= len(obs.y)):
         raise GridError("time indices leave the valid prediction range")
-    A = np.zeros((t_indices.size, imap.size))
-    A[:, 0] = 1.0
-    for k, zk in enumerate(obs.z):
-        A[:, 1 + k] = zk
-    for j in range(design.p):
-        w = quadrature_weights(imap.sizes[j], design.step)
-        xv = obs.x[j].values
-        sl = imap.covariate_slice(j)
-        for l in range(imap.sizes[j]):
-            A[:, sl.start + l] = w[l] * xv[t_indices - l]
-    return A, obs.y.values[t_indices]
+    windows = [delay_matrix(xj.values, t_indices, s - 1) for xj, s in zip(obs.x, imap.sizes)]
+    return imap.rows(obs.z, windows), obs.y.values[t_indices]
 
 
 def assemble(design: Design) -> GramSystem:
@@ -203,6 +223,7 @@ def assemble(design: Design) -> GramSystem:
         AW = A * Wt[:, None]
         G += A.T @ AW
         F += AW.T @ y
+        del A, AW  # free before the next observation's rows and delay matrices
     return GramSystem(G, F, imap, imap.lag_weights())
 
 
@@ -235,17 +256,11 @@ def solve_truncated_svd(
     """
     if not 0.0 < rel_tol <= 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1], got {rel_tol!r}")
-    S = np.sqrt(system.weights)
-    Gt = system.G / np.outer(S, S)
-    Ft = system.F / S
-    evals, vecs = scipy.linalg.eigh(Gt)
-    max_eig = float(evals[-1])
-    if max_eig <= 0.0:
-        return system.index_map.unpack(np.zeros(system.size)), 0
-    keep = evals >= rel_tol * max_eig
-    rank = int(np.count_nonzero(keep))
+    evals, vecs, S = system.weighted_eigh(slice(None))
+    rank = numerical_rank(evals, rel_tol)
+    keep = slice(evals.size - rank, None)
     V = vecs[:, keep]
-    ct = V @ ((V.T @ Ft) / evals[keep])
+    ct = V @ ((V.T @ (system.F / S)) / evals[keep])
     return system.index_map.unpack(ct / S), rank
 
 

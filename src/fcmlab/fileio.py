@@ -325,13 +325,16 @@ def parse_simulation_spec(raw: Mapping[str, Any], source=None):
         if not isinstance(entry, dict):
             raise ValidationError("covariate entry must be an object", source=source, field=f"covariates[{j}]")
         kind = _require(entry, "kind", str, f"covariates[{j}].kind", source)
+        params = entry.get("params", {})
+        if not isinstance(params, Mapping):
+            raise ValidationError("params must be an object", source=source, field=f"covariates[{j}].params")
         cov_specs.append(
             GeneratorSpec(
                 kind=kind,
                 T=T,
                 step=step,
                 seed=int(entry.get("seed", seed + 97 * (j + 1))),
-                params=entry.get("params", {}),
+                params=params,
             )
         )
     beta0 = [float(v) for v in _require(raw, "beta0", list, "beta0", source)]

@@ -26,7 +26,7 @@ import scipy.linalg
 from fcmlab.errors import ConformalityError, GridError, NearSingularError
 from fcmlab.estimator import GramSystem, assemble
 from fcmlab.grids import GridFunction, inner_product, quadrature_weights, snap_to_index
-from fcmlab.model import CoefficientSet, Design, check_conformal, lag_convolve
+from fcmlab.model import CoefficientSet, Design, check_conformal, delay_matrix, predict
 from fcmlab.util import numerical_rank
 
 __all__ = [
@@ -57,23 +57,19 @@ def quadratic_form(design: Design, coef: CoefficientSet) -> float:
     """Energy of the lag kernels under the design's Gram operator.
 
     Computed forward, without assembling the normal matrix: for each
-    observation the predicted convolution contribution is formed
-    directly and its squared norm over ``[alpha_star, T_i]`` is
-    accumulated. Intercept and scalar entries of ``coef`` are ignored.
-    Nonnegative up to rounding, and zero exactly on directions the
-    design cannot distinguish from the zero kernel.
+    observation the prediction of the kernels alone is formed with
+    :func:`fcmlab.model.predict` and its squared norm over
+    ``[alpha_star, T_i]`` is accumulated. Intercept and scalar entries
+    of ``coef`` are ignored. Nonnegative up to rounding, and zero
+    exactly on directions the design cannot distinguish from the zero
+    kernel.
     """
-    check_conformal(design, coef)
-    start = design.alpha_star
+    kernels_only = CoefficientSet((0.0,) * len(coef.beta0), coef.betas)
     total = 0.0
-    for obs in design.observations:
-        acc: np.ndarray | None = None
-        for xj, bj, aj in zip(obs.x, coef.betas, design.lags):
-            c = lag_convolve(xj, bj, aj, t_start=start).values
-            acc = c if acc is None else acc + c
-        assert acc is not None
-        w = quadrature_weights(acc.size, design.step)
-        total += float(w @ (acc * acc))
+    for i in range(design.n):
+        c = predict(design, kernels_only, i).values
+        w = quadrature_weights(c.size, design.step)
+        total += float(w @ (c * c))
     return total
 
 
@@ -114,19 +110,16 @@ def gram_spectrum(system: GramSystem, tol: float = DEFAULT_SPECTRUM_TOL) -> Spec
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     imap = system.index_map
     blk = imap.covariate_block
-    S = np.sqrt(system.weights[blk])
-    Gt = system.G[blk, blk] / np.outer(S, S)
-    evals, vecs = scipy.linalg.eigh(Gt)
+    evals, vecs, S = system.weighted_eigh(blk)
     order = np.argsort(evals)[::-1]
     evals = evals[order]
     vecs = vecs[:, order]
-    rank = numerical_rank(np.maximum(evals, 0.0), tol)
+    rank = numerical_rank(evals, tol)
     basis = []
     for k in range(rank, evals.size):
         c = np.zeros(imap.size)
         c[blk] = vecs[:, k] / S
         basis.append(imap.unpack(c))
-    evals = np.asarray(evals, dtype=float)
     evals.setflags(write=False)
     return SpectrumReport(evals, rank, tuple(basis), float(tol))
 
@@ -166,9 +159,7 @@ def delay_embed(x: GridFunction, alpha: float, stride: int = 1) -> np.ndarray:
         raise GridError(f"window {alpha!r} must span at least one step")
     if len(x) - 1 < L:
         raise GridError("curve domain is shorter than the embedding window")
-    rows = np.arange(L, len(x), stride)
-    idx = rows[:, None] - np.arange(L + 1)[None, :]
-    return x.values[idx]
+    return delay_matrix(x.values, np.arange(L, len(x), stride), L)
 
 
 def fit_recurrence(x: GridFunction, order: int) -> np.ndarray:
@@ -189,10 +180,8 @@ def fit_recurrence(x: GridFunction, order: int) -> np.ndarray:
         raise GridError(
             f"need at least {3 * order} samples to fit an order-{order} recurrence, got {n}"
         )
-    v = x.values
-    X = np.column_stack([v[order - k : n - k] for k in range(1, order + 1)])
-    y = v[order:]
-    coeffs, _, rank, sv = np.linalg.lstsq(X, y, rcond=None)
+    H = delay_matrix(x.values, np.arange(order, n), order)
+    coeffs, _, rank, sv = np.linalg.lstsq(H[:, 1:], H[:, 0], rcond=None)
     if rank < order:
         small = float(sv[-1]) if sv.size else 0.0
         large = float(sv[0]) if sv.size else 0.0
@@ -389,15 +378,9 @@ def diagnose(design: Design, tol: float = DEFAULT_RESIDUAL_TOL) -> DiagnosisRepo
     """
     system = assemble(design)
     spectrum = gram_spectrum(system, tol=tol)
-    jobs = [
-        (obs.x[j], design.lags[j])
-        for obs in design.observations
-        for j in range(design.p)
-    ]
-    flat = [_analyze_curve(x, a, tol) for x, a in jobs]
     reports = tuple(
-        tuple(flat[i * design.p + j] for j in range(design.p))
-        for i in range(design.n)
+        tuple(_analyze_curve(x, a, tol) for x, a in zip(obs.x, design.lags))
+        for obs in design.observations
     )
     finite = tuple(
         all(reports[i][j].finite_dimensional for i in range(design.n))

@@ -25,6 +25,7 @@ __all__ = [
     "Observation",
     "Design",
     "CoefficientSet",
+    "delay_matrix",
     "lag_convolve",
     "predict",
     "sse",
@@ -198,6 +199,27 @@ def check_conformal(design: Design, coef: CoefficientSet) -> None:
             )
 
 
+def delay_matrix(values: np.ndarray, rows: np.ndarray, L: int) -> np.ndarray:
+    """Delay matrix ``H[r, l] = values[rows[r] - l]`` for ``l = 0 .. L``.
+
+    Every row index must lie in ``[L, len(values))``. Column ``l`` times
+    the trapezoid weight ``w_l`` of the lag grid is the share of the
+    kernel sample at ``u = l * step`` in the convolution at each row's
+    time. Rows are gathered from a sliding-window view, so no index
+    array as large as ``H`` is formed.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(values, L + 1)
+    return windows[np.asarray(rows) - L, ::-1]
+
+
+def _lag_sum(x: np.ndarray, beta: np.ndarray, step: float) -> np.ndarray:
+    """Trapezoid lag sum ``sum_l w_l beta_l x[k - l]`` for every ``k``.
+
+    Entries ``k < len(beta) - 1`` use a truncated window.
+    """
+    return np.convolve(x, quadrature_weights(beta.size, step) * beta)
+
+
 def lag_convolve(
     x: GridFunction,
     beta: GridFunction,
@@ -247,9 +269,7 @@ def lag_convolve(
         if k0 > len(x) - 1:
             raise GridError(f"output start {t_start!r} lies beyond the curve domain")
         start = float(t_start)
-    weighted = quadrature_weights(L + 1, h) * beta.values
-    full = np.convolve(x.values, weighted)
-    return GridFunction(start, h, full[k0 : len(x)])
+    return GridFunction(start, h, _lag_sum(x.values, beta.values, h)[k0 : len(x)])
 
 
 def predict(design: Design, coef: CoefficientSet, i: int) -> GridFunction:

@@ -33,9 +33,10 @@ def atomic_write(path, chunks: Iterable[str]) -> None:
 
 
 def numerical_rank(values: np.ndarray, tol: float) -> int:
-    """Count entries of a nonnegative spectrum at or above ``tol`` times its max.
+    """Count entries of a spectrum at or above ``tol`` times its max.
 
-    ``values`` may arrive in any order; nonpositive spectra have rank 0.
+    ``values`` may arrive in any order. Negative entries never count,
+    and a spectrum whose largest entry is nonpositive has rank 0.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:

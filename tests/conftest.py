@@ -3,7 +3,7 @@ import pytest
 
 from fcmlab.designs import GeneratorSpec, NoiseSpec, gen_design
 from fcmlab.grids import GridFunction
-from fcmlab.model import CoefficientSet
+from fcmlab.model import CoefficientSet, Design, Observation
 
 
 @pytest.fixture
@@ -60,3 +60,16 @@ def deficient_design():
         seed=7,
     )
     return design, truth
+
+
+@pytest.fixture
+def unequal_design():
+    """Two covariates with lags 0.25 and 0.5, one scalar, unequal lengths."""
+    step = 1.0 / 16.0
+    rng = np.random.default_rng(3)
+    observations = []
+    for n_pts, z in ((33, 0.5), (41, -1.2), (25, 2.0)):
+        y = GridFunction(0.0, step, rng.standard_normal(n_pts))
+        xs = tuple(GridFunction(0.0, step, rng.standard_normal(n_pts)) for _ in range(2))
+        observations.append(Observation(y, xs, (z,)))
+    return Design(tuple(observations), (0.25, 0.5), step)

@@ -272,6 +272,28 @@ class TestRankDeficientExit:
         assert payload["gram_condition"] is None
 
 
+class TestToleranceFlags:
+    def test_svd_tol_one_keeps_a_single_mode(self, tmp_path, capsys):
+        manifest = simulate(tmp_path, capsys)
+        fit_path = tmp_path / "fit.json"
+        args = ["--design", str(manifest), "--out", str(fit_path), "--solver", "svd"]
+        code = main(["fit", *args, "--svd-tol", "1.0"])
+        assert code == 0
+        assert json.loads(fit_path.read_text())["truncation_rank"] == 1
+
+    def test_pivot_tol_refuses_a_full_rank_design(self, tmp_path, capsys):
+        # The same design fits with the default guard
+        # (test_fit_recovers_simulated_truth).
+        manifest = simulate(tmp_path, capsys)
+        fit_path = tmp_path / "fit.json"
+        args = ["--design", str(manifest), "--out", str(fit_path)]
+        code = main(["fit", *args, "--pivot-tol", "0.5"])
+        err = single_error(capsys)
+        assert code == 3
+        assert err["error"] == "NearSingularError"
+        assert not fit_path.exists()
+
+
 class TestConfigFile:
     def test_config_supplies_missing_flags(self, tmp_path, capsys):
         manifest = simulate(tmp_path, capsys)
@@ -334,6 +356,25 @@ class TestConfigFile:
         assert err["field"] == "solver"
 
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("fit", "lam", [1]),
+            ("fit", "lam", float("nan")),
+            ("fit", "allow_rank_deficient", "false"),
+            ("simulate", "seed", 1.5),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = main([command, "--config", str(cfg)])
+        err = single_error(capsys)
+        assert code == 2
+        assert err["error"] == "ValidationError"
+        assert err["field"] == key
+
+
 class TestErrorReporting:
     def test_tampered_curve_reports_line_number(self, tmp_path, capsys):
         manifest = simulate(tmp_path, capsys)
@@ -364,6 +405,15 @@ class TestErrorReporting:
         err = single_error(capsys)
         assert code == 2
         assert err["error"] == "ValueError"
+
+        # A non-object params entry is rejected by the spec parser.
+        covariates = [{"kind": "filtered_noise", "params": [1]}]
+        spec = write_spec(tmp_path, "list_params.json", covariates=covariates)
+        code = main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "design")])
+        err = single_error(capsys)
+        assert code == 2
+        assert err["error"] == "ValidationError"
+        assert err["field"] == "covariates[0].params"
 
     @pytest.mark.parametrize("curve, entry", [("y.csv", "nan"), ("x00.csv", "inf")])
     def test_non_finite_sample_exits_2_naming_the_line(self, tmp_path, capsys, curve, entry):

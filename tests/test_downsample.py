@@ -11,6 +11,7 @@ from fcmlab.downsample import (
 from fcmlab.errors import GridError, NearSingularError
 from fcmlab.estimator import assemble, solve_direct
 from fcmlab.grids import GridFunction, quadrature_weights
+from fcmlab.identifiability import delay_embed
 from fcmlab.model import CoefficientSet, Design, Observation
 
 
@@ -66,6 +67,16 @@ class TestToFlm:
         t_idx = k0 + 4 * row
         L = data.windows[0].shape[1]
         assert np.array_equal(data.windows[0][row], x[t_idx - np.arange(L)])
+
+    def test_unit_stride_windows_are_delay_embedding_rows(self, unequal_design):
+        design = unequal_design
+        data = to_flm(design, design.step)
+        k0 = design.alpha_star_index()
+        for i, obs in enumerate(design.observations):
+            rows = data.obs_index == i
+            for j, (L, alpha) in enumerate(zip(design.lag_lengths(), design.lags)):
+                H = delay_embed(obs.x[j], alpha)
+                assert np.array_equal(data.windows[j][rows], H[k0 - L :])
 
     def test_off_grid_interval_rejected(self, flm_design):
         design, _ = flm_design

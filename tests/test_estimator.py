@@ -10,6 +10,7 @@ from fcmlab.estimator import (
     GramSystem,
     assemble,
     fit,
+    observation_rows,
     second_difference_operator,
     solve_direct,
     solve_penalized,
@@ -22,6 +23,7 @@ from fcmlab.model import (
     Design,
     Observation,
     lag_convolve,
+    predict,
     sse,
 )
 
@@ -88,6 +90,21 @@ class TestAssemble:
             minus = sse(design, system.index_map.unpack(c - e))
             fd = (plus - minus) / (2.0 * eps)
             assert fd == pytest.approx(grad[k], rel=1e-5, abs=1e-10)
+
+
+class TestObservationRows:
+    def test_rows_times_coefficients_match_predict(self, unequal_design):
+        design = unequal_design
+        imap = CoefficientIndexMap.from_design(design)
+        rng = np.random.default_rng(4)
+        c = rng.standard_normal(imap.size)
+        coef = imap.unpack(c)
+        k0 = design.alpha_star_index()
+        for i, obs in enumerate(design.observations):
+            A, y = observation_rows(design, i, np.arange(k0, len(obs.y)))
+            want = predict(design, coef, i).values
+            assert np.array_equal(y, obs.y.values[k0:])
+            assert np.max(np.abs(A @ imap.pack(coef) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestSolveDirect:
