@@ -28,6 +28,7 @@ from fcmlab.errors import FcmlabError, NearSingularError, ValidationError
 from fcmlab.estimator import DEFAULT_PIVOT_TOL, DEFAULT_SVD_RTOL, fit
 from fcmlab.experiments import EXPERIMENT_NAMES, run_all, run_experiment
 from fcmlab.identifiability import DEFAULT_RESIDUAL_TOL, diagnose
+from fcmlab.util import json_value
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -292,23 +293,7 @@ _CONFIG_FIELDS = {
     if f.name != "command"
 }
 
-_KIND_NAMES = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string"}
-
 _DEFAULTS = RunConfig(command="fit")
-
-
-def _config_value(key: str, kind: type, value, source):
-    """Check one config-file value against its field's type; numbers become floats."""
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        if abs(value) <= sys.float_info.max:  # false for nan, inf and out-of-range integers
-            return float(value)
-    elif isinstance(value, kind) and (kind is bool) == isinstance(value, bool):
-        return value
-    raise ValidationError(
-        f"expected {_KIND_NAMES[kind]} for {key!r}, got {type(value).__name__}",
-        source=source,
-        field=key,
-    )
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
@@ -327,7 +312,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             kind = _CONFIG_FIELDS.get(name)
             if kind is None:
                 raise ValidationError(f"unknown config key {key!r}", source=config_path, field=key)
-            file_values[name] = _config_value(key, kind, value, config_path)
+            file_values[name] = json_value(value, kind, key, config_path)
     flags = {name: getattr(args, name, None) for name in _CONFIG_FIELDS}
     config = replace(_DEFAULTS, command=args.command, **file_values)
     return replace(config, **{name: v for name, v in flags.items() if v is not None})

@@ -13,6 +13,7 @@ covariate; :class:`CoefficientIndexMap` owns that layout.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -290,14 +291,23 @@ def solve_penalized(system: GramSystem, lam: float) -> CoefficientSet:
     ``lam`` must be nonnegative; ``lam = 0`` reproduces the plain
     normal equations. The penalty acts on each lag-kernel block only,
     leaving intercept and scalar coefficients unpenalized, so large
-    ``lam`` drives the kernels toward straight lines.
+    ``lam`` drives the kernels toward straight lines. When the solve
+    finds ``G + lam * D'D`` singular or ill-conditioned, raises
+    :class:`NearSingularError` carrying its extreme eigenvalues instead
+    of returning the solution.
     """
     lam = float(lam)
     if lam < 0.0:
         raise ValueError(f"penalty weight must be nonnegative, got {lam!r}")
     D = second_difference_operator(system.index_map)
     A = system.G + lam * (D.T @ D)
-    c = scipy.linalg.solve(A, system.F, assume_a="sym")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+        try:
+            c = scipy.linalg.solve(A, system.F, assume_a="sym")
+        except (scipy.linalg.LinAlgWarning, scipy.linalg.LinAlgError):
+            evals = scipy.linalg.eigh(A, eigvals_only=True)
+            raise NearSingularError(evals[0], evals[-1]) from None
     return system.index_map.unpack(c)
 
 

@@ -5,14 +5,13 @@ A design lives on disk as a JSON manifest naming one CSV per curve
 JSON artifact carries a ``format_version`` field. All writers are
 atomic, through :func:`fcmlab.util.atomic_write`: content goes to a
 temporary file in the destination directory and is renamed into place,
-so readers never observe partial output. The CSV writers here stream
-one line at a time.
+so readers never observe partial output. Every CSV goes through
+:func:`fcmlab.util.write_csv`, which streams its rows in blocks.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -24,7 +23,7 @@ from fcmlab.estimator import FitResult
 from fcmlab.grids import GridFunction, read_grid_csv, snap_to_index, write_grid_csv
 from fcmlab.identifiability import DiagnosisReport
 from fcmlab.model import CoefficientSet, Design, Observation
-from fcmlab.util import atomic_write
+from fcmlab.util import atomic_write, json_value, reject_non_finite, write_csv
 
 __all__ = [
     "FORMAT_VERSION",
@@ -86,22 +85,7 @@ def write_design(design: Design, out_dir) -> Path:
 def _require(mapping: Mapping[str, Any], key: str, kind, field: str, source) -> Any:
     if key not in mapping:
         raise ValidationError(f"missing required key {key!r}", source=source, field=field)
-    value = mapping[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValidationError(
-                f"expected a number for {key!r}, got {type(value).__name__}",
-                source=source,
-                field=field,
-            )
-        return float(value)
-    if not isinstance(value, kind):
-        raise ValidationError(
-            f"expected {kind.__name__} for {key!r}, got {type(value).__name__}",
-            source=source,
-            field=field,
-        )
-    return value
+    return json_value(mapping[key], kind, key, source, field)
 
 
 def read_design(manifest_path) -> Design:
@@ -261,38 +245,21 @@ def write_diagnosis(path, report: DiagnosisReport) -> None:
 
 def write_spectrum_csv(path, values: np.ndarray) -> None:
     """Write a descending spectrum as ``index,sigma`` rows."""
-    rows = (f"{k},{v:.17g}\n" for k, v in enumerate(np.asarray(values, dtype=float)))
-    atomic_write(path, chain(["index,sigma\n"], rows))
+    write_csv(path, ["index", "sigma"], [np.arange(len(values)), values])
 
 
 def write_residual_curves_csv(path, report: DiagnosisReport) -> None:
     """Write every residual-vs-order curve as ``observation,covariate,K,residual``."""
-    rows = (
-        f"{i},{j},{K},{r:.17g}\n"
-        for i, row in enumerate(report.covariate_reports)
-        for j, rep in enumerate(row)
-        for K, r in enumerate(rep.residual_curve)
-    )
-    atomic_write(path, chain(["observation,covariate,K,residual\n"], rows))
+    reps = [(i, j, rep) for i, row in enumerate(report.covariate_reports) for j, rep in enumerate(row)]
+    rows = [(i, j, K, r) for i, j, rep in reps for K, r in enumerate(rep.residual_curve.tolist())]
+    write_csv(path, ["observation", "covariate", "K", "residual"], [rows])
 
 
 def write_flm_csv(path, data) -> None:
     """Write down-sampled rows: observation, l, y, scalars, then windows."""
-
-    def lines():
-        header = ["obs", "l", "y"]
-        header += [f"z{k}" for k in range(data.d)]
-        for j, win in enumerate(data.windows):
-            header += [f"x{j}_u{m}" for m in range(win.shape[1])]
-        yield ",".join(header) + "\n"
-        for r in range(data.row_count):
-            cells = [str(int(data.obs_index[r])), str(int(data.l_index[r])), f"{data.y[r]:.17g}"]
-            cells += [f"{v:.17g}" for v in data.z[r]]
-            for win in data.windows:
-                cells += [f"{v:.17g}" for v in win[r]]
-            yield ",".join(cells) + "\n"
-
-    atomic_write(path, lines())
+    header = ["obs", "l", "y"] + [f"z{k}" for k in range(data.d)]
+    header += [f"x{j}_u{m}" for j, win in enumerate(data.windows) for m in range(win.shape[1])]
+    write_csv(path, header, [data.obs_index, data.l_index, data.y, data.z, *data.windows])
 
 
 def parse_simulation_spec(raw: Mapping[str, Any], source=None):
@@ -307,6 +274,7 @@ def parse_simulation_spec(raw: Mapping[str, Any], source=None):
 
     if not isinstance(raw, Mapping):
         raise ValidationError("simulation spec must be a JSON object", source=source)
+    reject_non_finite(raw, source)
     version = _require(raw, "format_version", int, "format_version", source)
     if version != FORMAT_VERSION:
         raise ValidationError(f"unsupported format_version {version}", source=source)
@@ -333,7 +301,9 @@ def parse_simulation_spec(raw: Mapping[str, Any], source=None):
                 kind=kind,
                 T=T,
                 step=step,
-                seed=int(entry.get("seed", seed + 97 * (j + 1))),
+                seed=_require(entry, "seed", int, f"covariates[{j}].seed", source)
+                if "seed" in entry
+                else seed + 97 * (j + 1),
                 params=params,
             )
         )
@@ -347,12 +317,9 @@ def parse_simulation_spec(raw: Mapping[str, Any], source=None):
     for j, (entry, alpha) in enumerate(zip(betas_raw, lags)):
         if not isinstance(entry, dict):
             raise ValidationError("kernel entry must be an object", source=source, field=f"betas[{j}]")
-        if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) or not np.isfinite(alpha):
-            raise ValidationError(
-                f"lag {alpha!r} is not a finite number", source=source, field=f"lags[{j}]"
-            )
+        alpha = json_value(alpha, float, f"lags[{j}]", source)
         try:
-            m = snap_to_index(float(alpha) / step)
+            m = snap_to_index(alpha / step)
         except GridError:
             m = 0  # off the grid: rejected below like a nonpositive lag
         if m < 1:

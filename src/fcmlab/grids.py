@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fcmlab.errors import GridError, ValidationError
-from fcmlab.util import atomic_write
+from fcmlab.util import write_csv
 
 __all__ = [
     "GridFunction",
@@ -133,8 +133,11 @@ def snap_to_index(pos: float, what: str = "value") -> int:
     """Round ``pos`` to the nearest integer, failing if it is not one.
 
     Used to validate that lags, domain lengths, and sampling intervals
-    are integer multiples of the grid step.
+    are integer multiples of the grid step. A non-finite ``pos`` is
+    never one.
     """
+    if not np.isfinite(pos):
+        raise GridError(f"{what} is not a finite multiple of the grid step (got {pos!r} steps)")
     k = round(pos)
     if abs(pos - k) > ALIGN_RTOL * max(1.0, abs(pos)):
         raise GridError(f"{what} is not an integer multiple of the grid step (got {pos!r} steps)")
@@ -175,13 +178,8 @@ _CSV_HEADER = ("t", "value")
 
 
 def write_grid_csv(path, f: GridFunction) -> None:
-    """Write ``f`` atomically as a two-column CSV ``t,value`` with full precision.
-
-    Curve files are small and a design has thousands of them, so each is
-    formatted from Python floats into one string and written in one piece.
-    """
-    rows = [f"{t:.17g},{v:.17g}\n" for t, v in zip(f.times().tolist(), f.values.tolist())]
-    atomic_write(path, ["t,value\n" + "".join(rows)])
+    """Write ``f`` atomically as a two-column CSV ``t,value`` with full precision."""
+    write_csv(path, _CSV_HEADER, [f.times(), f.values])
 
 
 def read_grid_csv(path) -> GridFunction:

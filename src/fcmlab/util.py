@@ -1,13 +1,28 @@
-"""Small shared helpers: atomic file writes and rank counting."""
+"""Small shared helpers: atomic file and CSV writes, JSON value checks, rank counting."""
 
 from __future__ import annotations
 
 import os
 import secrets
+import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from fcmlab.errors import ValidationError
+
+# Cells of CSV text that ``write_csv`` formats and writes at a time. A
+# budget in cells keeps blocks of wide row tables as small as a curve's.
+_BLOCK_CELLS = 16384
+
+_JSON_TYPE_NAMES = {
+    float: "a finite number",
+    int: "an integer",
+    bool: "true or false",
+    str: "a string",
+    list: "a list",
+}
 
 
 def atomic_write(path, chunks: Iterable[str]) -> None:
@@ -30,6 +45,63 @@ def atomic_write(path, chunks: Iterable[str]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Write ``columns`` of equal length under ``header`` as CSV, atomically.
+
+    A 2-D column fills several cells of a row. Every cell is ``%.17g``, which
+    round-trips every double and prints integers as plain digits.
+    """
+    cols = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
+    width = sum(c.shape[1] for c in cols)
+    template = ",".join(["%.17g"] * width) + "\n"
+    rows = max(1, _BLOCK_CELLS // width)
+
+    def blocks():
+        yield ",".join(header) + "\n"
+        for k in range(0, len(cols[0]), rows):
+            block = np.concatenate([c[k : k + rows] for c in cols], axis=1, dtype=float)
+            yield "".join([template % tuple(r) for r in block.tolist()])
+
+    atomic_write(path, blocks())
+
+
+def json_value(value, kind: type, key: str, source=None, field: str | None = None):
+    """Return the parsed JSON ``value`` if it has type ``kind``.
+
+    A boolean is never a number. ``float`` accepts any finite JSON number,
+    integers included, and returns a float; ``int`` accepts JSON integers
+    only. Otherwise raises :class:`ValidationError` naming ``key`` and
+    the JSON path ``field`` (default ``key``).
+    """
+    if kind is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            if abs(value) <= sys.float_info.max:  # false for nan, inf and huge integers
+                return float(value)
+    elif isinstance(value, kind) and (kind is bool) == isinstance(value, bool):
+        return value
+    raise ValidationError(
+        f"expected {_JSON_TYPE_NAMES[kind]} for {key!r}, got {type(value).__name__}",
+        source=source,
+        field=key if field is None else field,
+    )
+
+
+def reject_non_finite(value, source=None, field: str = "") -> None:
+    """Raise :class:`ValidationError` at the first non-finite number in ``value``.
+
+    Walks parsed JSON objects and lists; the error names the JSON path of
+    the number, such as ``noise.sd`` or ``beta0[0]``.
+    """
+    if isinstance(value, Mapping):
+        for key, item in value.items():
+            reject_non_finite(item, source, f"{field}.{key}" if field else str(key))
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            reject_non_finite(item, source, f"{field}[{k}]")
+    elif isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"{value!r} is not a finite number", source=source, field=field)
 
 
 def numerical_rank(values: np.ndarray, tol: float) -> int:

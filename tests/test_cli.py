@@ -272,6 +272,25 @@ class TestRankDeficientExit:
         assert payload["gram_condition"] is None
 
 
+    @pytest.mark.parametrize("extra", [[], ["--allow-rank-deficient"]])
+    def test_singular_ridge_system_exits_3_or_falls_back(self, tmp_path, capsys, extra):
+        manifest = simulate(tmp_path, capsys, **deficient_overrides())
+        fit_path = tmp_path / "fit.json"
+        args = ["--design", str(manifest), "--out", str(fit_path), "--solver", "ridge"]
+        code = main(["fit", *args, "--lambda", "0", *extra])
+        if not extra:
+            err = single_error(capsys)
+            assert code == 3
+            assert err["error"] == "NearSingularError"
+            assert err["min_eigenvalue"] <= 1e-12 * err["max_eigenvalue"]
+            assert not fit_path.exists()
+        else:
+            captured = capsys.readouterr()
+            assert code == 0
+            assert captured.err == ""
+            assert strict_json(captured.out)["solver_used"] == "truncated_svd"
+
+
 class TestToleranceFlags:
     def test_svd_tol_one_keeps_a_single_mode(self, tmp_path, capsys):
         manifest = simulate(tmp_path, capsys)
@@ -414,6 +433,66 @@ class TestErrorReporting:
         assert code == 2
         assert err["error"] == "ValidationError"
         assert err["field"] == "covariates[0].params"
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"T": float("inf")}, "T"),
+            ({"lags": [float("inf")]}, "lags[0]"),
+            ({"noise": {"kind": "white", "sd": float("nan")}}, "noise.sd"),
+            ({"beta0": [float("nan"), -0.3]}, "beta0[0]"),
+            ({"betas": [{"values": [0.0, 0.5, float("-inf"), 0.5, 0.0]}]}, "betas[0].values[2]"),
+            (
+                {"covariates": [{"kind": "filtered_noise", "params": {"max_frequency": float("nan")}}]},
+                "covariates[0].params.max_frequency",
+            ),
+            ({"seed": 10**400}, "seed"),
+        ],
+    )
+    def test_non_finite_spec_number_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, overrides, field
+    ):
+        spec = write_spec(tmp_path, **overrides)
+        out_dir = tmp_path / "design"
+        code = main(["simulate", "--spec", str(spec), "--out", str(out_dir)])
+        err = single_error(capsys)
+        assert code == 2
+        assert err["error"] == "ValidationError"
+        assert err["field"] == field
+        assert "not a finite number" in err["message"]
+        assert not out_dir.exists()
+
+    def test_infinite_manifest_lag_exits_2(self, tmp_path, capsys):
+        manifest = simulate(tmp_path, capsys)
+        raw = json.loads(manifest.read_text())
+        raw["lags"] = [float("inf")]
+        manifest.write_text(json.dumps(raw))
+        fit_path = tmp_path / "f.json"
+        code = main(["fit", "--design", str(manifest), "--out", str(fit_path)])
+        err = single_error(capsys)
+        assert code == 2
+        assert err["error"] == "ValidationError"
+        assert not fit_path.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"n": True}, "n"),
+            ({"seed": True}, "seed"),
+            ({"format_version": True}, "format_version"),
+            ({"covariates": [{"kind": "filtered_noise", "seed": True}]}, "covariates[0].seed"),
+            ({"covariates": [{"kind": "filtered_noise", "seed": 1.5}]}, "covariates[0].seed"),
+        ],
+    )
+    def test_spec_integer_that_is_not_an_integer_exits_2(self, tmp_path, capsys, overrides, field):
+        spec = write_spec(tmp_path, **overrides)
+        out_dir = tmp_path / "design"
+        code = main(["simulate", "--spec", str(spec), "--out", str(out_dir)])
+        err = single_error(capsys)
+        assert code == 2
+        assert err["field"] == field
+        assert "expected an integer" in err["message"]
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("curve, entry", [("y.csv", "nan"), ("x00.csv", "inf")])
     def test_non_finite_sample_exits_2_naming_the_line(self, tmp_path, capsys, curve, entry):

@@ -200,6 +200,17 @@ class TestSolvePenalized:
         with pytest.raises(ValueError):
             solve_penalized(assemble(design), -1.0)
 
+    def test_singular_system_raises_with_its_eigenvalues(self, deficient_design):
+        # Without a penalty the kernel block has rank 7 of 13, and the
+        # solve would only warn of an ill-conditioned matrix.
+        design, _ = deficient_design
+        system = assemble(design)
+        with pytest.raises(NearSingularError) as exc:
+            solve_penalized(system, 0.0)
+        evals = scipy.linalg.eigvalsh(system.G)
+        assert exc.value.min_eig == pytest.approx(evals[0], abs=1e-12 * evals[-1])
+        assert exc.value.max_eig == pytest.approx(evals[-1], rel=1e-12)
+
 
 class TestSecondDifferenceOperator:
     def test_annihilates_linear_kernels(self):

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,20 @@ from fcmlab.estimator import fit
 from fcmlab.grids import GridFunction
 from fcmlab.identifiability import diagnose
 from fcmlab.model import CoefficientSet
+
+# Doubles whose text is easy to get wrong: a signed zero, the smallest
+# subnormal, a huge value and a short negative one.
+SPECIAL = [-0.0, 5e-324, 1e300, -1.5]
+
+
+def reference_csv(header, rows):
+    """CSV text formatted cell by cell: ``str`` for ints, ``.17g`` for floats."""
+
+    def cell(v):
+        return str(v) if isinstance(v, int) else f"{v:.17g}"
+
+    lines = [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
 
 
 def spec_dict(**overrides):
@@ -62,6 +77,16 @@ class TestDesignRoundTrip:
         with pytest.raises(ValidationError) as exc:
             fileio.read_design(manifest)
         assert "lags" in str(exc.value)
+
+    def test_boolean_format_version_is_rejected(self, tmp_path, noisy_design):
+        design, _ = noisy_design
+        manifest = fileio.write_design(design, tmp_path / "d")
+        raw = json.loads(manifest.read_text())
+        raw["format_version"] = True
+        manifest.write_text(json.dumps(raw))
+        with pytest.raises(ValidationError) as exc:
+            fileio.read_design(manifest)
+        assert exc.value.field == "format_version"
 
     def test_invalid_json_reports_source(self, tmp_path):
         path = tmp_path / "manifest.json"
@@ -173,6 +198,71 @@ class TestPayloads:
         assert len(lines) == data.row_count + 1
 
 
+class TestCsvBytes:
+    """Every CSV writer's bytes against a cell-by-cell reference."""
+
+    def test_grid_csv(self, tmp_path):
+        f = GridFunction(-0.5, 0.125, SPECIAL + [0.1, 2.0 / 3.0])
+        path = tmp_path / "curve.csv"
+        fileio.write_grid_csv(path, f)
+        rows = zip(f.times().tolist(), f.values.tolist())
+        assert path.read_text() == reference_csv(["t", "value"], rows)
+
+    def test_spectrum_csv(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        fileio.write_spectrum_csv(path, np.array(SPECIAL))
+        assert path.read_text() == reference_csv(["index", "sigma"], enumerate(SPECIAL))
+
+    def test_residual_curves_csv(self, tmp_path):
+        curves = [[SPECIAL, [0.25]], [[1.0, 0.5, 1e-17]]]
+        report = SimpleNamespace(
+            covariate_reports=[
+                [SimpleNamespace(residual_curve=np.array(c)) for c in row] for row in curves
+            ]
+        )
+        path = tmp_path / "res.csv"
+        fileio.write_residual_curves_csv(path, report)
+        rows = [
+            (i, j, K, r)
+            for i, row in enumerate(curves)
+            for j, c in enumerate(row)
+            for K, r in enumerate(c)
+        ]
+        header = ["observation", "covariate", "K", "residual"]
+        assert path.read_text() == reference_csv(header, rows)
+
+    @pytest.mark.parametrize("rows_per_block", [None, 1, 2])
+    def test_flm_csv(self, tmp_path, monkeypatch, unequal_design, rows_per_block):
+        # Two covariates and one scalar on observations of unequal length;
+        # small block budgets put block boundaries inside the table.
+        data = to_flm(unequal_design, 2 * unequal_design.step)
+        widths = [w.shape[1] for w in data.windows]
+        if rows_per_block is not None:
+            cells = 3 + data.d + sum(widths)
+            monkeypatch.setattr(util, "_BLOCK_CELLS", rows_per_block * cells + cells - 1)
+        path = tmp_path / "flm.csv"
+        fileio.write_flm_csv(path, data)
+        header = ["obs", "l", "y", "z0"] + [
+            f"x{j}_u{m}" for j, width in enumerate(widths) for m in range(width)
+        ]
+        rows = [
+            [int(data.obs_index[r]), int(data.l_index[r]), float(data.y[r])]
+            + data.z[r].tolist()
+            + [v for w in data.windows for v in w[r].tolist()]
+            for r in range(data.row_count)
+        ]
+        assert (data.d, len(widths)) == (1, 2)
+        assert path.read_text() == reference_csv(header, rows)
+
+    def test_table_longer_than_one_block(self, tmp_path):
+        n = 2 * (util._BLOCK_CELLS // 2) + 1  # two full blocks of two cells a row, then one row
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        path = tmp_path / "spec.csv"
+        fileio.write_spectrum_csv(path, values)
+        assert path.read_text() == reference_csv(["index", "sigma"], enumerate(values.tolist()))
+
+
 class TestSimulationSpec:
     def test_valid_spec_parses(self):
         cov_specs, beta, noise, n, seed = fileio.parse_simulation_spec(spec_dict())
@@ -216,3 +306,8 @@ class TestSimulationSpec:
         with pytest.raises(ValidationError) as exc:
             fileio.parse_simulation_spec(spec_dict(step="fine"))
         assert exc.value.field == "step"
+
+    def test_covariate_seed_is_used_when_given(self):
+        spec = spec_dict(covariates=[{"kind": "filtered_noise", "seed": 123}])
+        cov_specs, *_ = fileio.parse_simulation_spec(spec)
+        assert cov_specs[0].seed == 123

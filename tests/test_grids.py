@@ -170,6 +170,11 @@ class TestSnapToIndex:
         with pytest.raises(GridError):
             snap_to_index(2.5)
 
+    @pytest.mark.parametrize("pos", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_non_finite_positions(self, pos):
+        with pytest.raises(GridError):
+            snap_to_index(pos)
+
 
 class TestCsvRoundTrip:
     def test_round_trip_is_bitwise(self, tmp_path):
