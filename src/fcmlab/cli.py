@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -64,10 +65,14 @@ class RunConfig:
                 raise ValidationError(f"output path {out!r} collides with an input path")
         if len(outputs) != len(set(outputs)):
             raise ValidationError("output paths must be distinct")
-        if self.lam < 0.0:
-            raise ValidationError("--lambda must be nonnegative", field="lambda")
+        if not (math.isfinite(self.lam) and self.lam >= 0.0):
+            raise ValidationError("--lambda must be finite and nonnegative", field="lambda")
         if not 0.0 < self.tol < 1.0:
             raise ValidationError("--tol must lie in (0, 1)", field="tol")
+        if not 0.0 <= self.pivot_tol < 1.0:
+            raise ValidationError("--pivot-tol must lie in [0, 1)", field="pivot-tol")
+        if not 0.0 < self.svd_rel_tol <= 1.0:
+            raise ValidationError("--svd-tol must lie in (0, 1]", field="svd-tol")
         if self.U is not None and self.U <= 0.0:
             raise ValidationError("--U must be positive", field="U")
         if self.solver not in _SOLVERS:

@@ -206,26 +206,75 @@ def observation_rows(design: Design, i: int, t_indices: np.ndarray) -> tuple[np.
 def assemble(design: Design) -> GramSystem:
     """Assemble the normal equations of the discrete criterion.
 
-    ``G`` and ``F`` accumulate ``A_i' W_i A_i`` and ``A_i' W_i y_i``
-    over observations in index order, where ``A_i`` holds the
-    regression rows on ``[alpha_star, T_i]`` and ``W_i`` the trapezoid
-    weights in time. The covariate block of ``G`` therefore discretizes
-    the Gram operator of the design with quadrature weights on both lag
-    axes.
+    ``G`` and ``F`` equal ``sum_i A_i' W_i A_i`` and ``sum_i A_i' W_i
+    y_i``, where ``A_i`` holds the regression rows of
+    :func:`observation_rows` on ``[alpha_star, T_i]`` and ``W_i`` the
+    trapezoid weights in time, so the covariate block of ``G``
+    discretizes the Gram operator of the design with quadrature weights
+    on both lag axes. ``observation_rows`` is the dense reference; no
+    ``A_i`` is formed here.
+
+    Between the lag weights, the block of covariates ``j, k`` is
+    ``h Q - h/2 (u u' + v v')`` summed over observations, with
+    ``Q[a, b] = sum_{t=k0}^{N-1} x_j[t-a] x_k[t-b]`` and the half-weight
+    rows ``u = x[k0 - a]`` and ``v = x[N-1 - a]`` (the first and last
+    rows of the delay matrix). Shifting both lags by one adds one
+    product and drops one,
+    ``Q[a+1, b+1] = Q[a, b] + x_j[k0-1-a] x_k[k0-1-b] - x_j[N-1-a] x_k[N-1-b]``,
+    so ``Q`` follows from its first row and column (products of each
+    delay matrix with the covariate curves) and the displacement
+    ``U U' - V V'``, where ``U`` stacks ``u`` without its first entry
+    and ``V`` stacks ``v`` without its last over the ``n`` observations
+    (Kailath, Kung & Morf 1979). The intercept and scalar rows and
+    ``F`` are weighted column sums of the same delay matrices. Each
+    observation costs ``O(N m)`` and each covariate pair one ``O(m^2)``
+    fill, against ``O(N m^2)`` for ``A_i' W_i A_i``. The sums run in
+    another order than the dense route's, so entries differ from it by
+    rounding, about 1e-15 of the largest. ``G`` is exactly symmetric.
     """
     imap = CoefficientIndexMap.from_design(design)
-    k0 = design.alpha_star_index()
+    k0, h, lead = design.alpha_star_index(), design.step, design.d + 1
+    lags = [s - 1 for s in imap.sizes]
+    blocks = [imap.covariate_slice(j) for j in range(design.p)]
     G = np.zeros((imap.size, imap.size))
     F = np.zeros(imap.size)
-    for i, obs in enumerate(design.observations):
+    first = [[np.zeros(s) for s in imap.sizes] for _ in lags]  # first[j][k] = Q_jk[0, :]
+    head = [np.zeros((lead, s)) for s in imap.sizes]  # sum of [1, z] times Wt @ H_k
+    ends = [[] for _ in lags]  # [H_k[0], H_k[-1]] of every observation
+    for obs in design.observations:
         t_idx = np.arange(k0, len(obs.y))
-        A, y = observation_rows(design, i, t_idx)
-        Wt = quadrature_weights(t_idx.size, design.step)
-        AW = A * Wt[:, None]
-        G += A.T @ AW
-        F += AW.T @ y
-        del A, AW  # free before the next observation's rows and delay matrices
-    return GramSystem(G, F, imap, imap.lag_weights())
+        Wt = quadrature_weights(t_idx.size, h)
+        y = obs.y.values[k0:]
+        level = np.concatenate(([1.0], obs.z))
+        G[:lead, :lead] += Wt.sum() * np.outer(level, level)
+        F[:lead] += (Wt @ y) * level
+        R = np.vstack([Wt, Wt * y] + [xj.values[k0:] for xj in obs.x])
+        for k, (xk, L) in enumerate(zip(obs.x, lags)):
+            H = delay_matrix(xk.values, t_idx, L)
+            M = R @ H
+            head[k] += np.outer(level, M[0])
+            F[blocks[k]] += M[1]
+            for j in range(len(lags)):
+                first[j][k] += M[2 + j]
+            ends[k].append(H[[0, -1]])
+    w = imap.lag_weights()
+    U = [np.array(e)[:, 0].T for e in ends]
+    V = [np.array(e)[:, 1].T for e in ends]
+    for k, sk in enumerate(blocks):
+        G[:lead, sk] = head[k] * w[sk]
+        F[sk] *= w[sk]
+        for j, sj in enumerate(blocks[: k + 1]):
+            UU, VV = U[j] @ U[k].T, V[j] @ V[k].T
+            Q = np.empty_like(UU)
+            Q[0] = first[j][k]
+            Q[1:, 0] = first[k][j][1:]
+            Q[1:, 1:] = UU[1:, 1:] - VV[:-1, :-1]
+            for a in range(1, Q.shape[0]):
+                Q[a, 1:] += Q[a - 1, :-1]
+            G[sj, sk] = (h * Q - 0.5 * h * (UU + VV)) * np.outer(w[sj], w[sk])
+    G = np.triu(G)
+    G += np.triu(G, 1).T
+    return GramSystem(G, F, imap, w)
 
 
 def solve_direct(system: GramSystem, pivot_tol: float = DEFAULT_PIVOT_TOL) -> CoefficientSet:
@@ -235,12 +284,16 @@ def solve_direct(system: GramSystem, pivot_tol: float = DEFAULT_PIVOT_TOL) -> Co
     when the smallest eigenvalue of ``G`` does not clear ``pivot_tol``
     times the largest; rank-deficient systems should go through
     :func:`solve_truncated_svd` or :func:`solve_penalized` instead.
+    A guard that passes can still leave a system the factorization
+    finds ill-conditioned; that raises :class:`NearSingularError` too.
+    ``pivot_tol`` must lie in ``[0, 1)``.
     """
+    if not 0.0 <= pivot_tol < 1.0:
+        raise ValueError(f"pivot_tol must lie in [0, 1), got {pivot_tol!r}")
     min_eig, max_eig = system.extremes
     if max_eig <= 0.0 or min_eig <= pivot_tol * max_eig:
         raise NearSingularError(min_eig, max_eig)
-    c = scipy.linalg.solve(system.G, system.F, assume_a="pos")
-    return system.index_map.unpack(c)
+    return system.index_map.unpack(_solve_or_raise(system.G, system.F, "pos"))
 
 
 def solve_truncated_svd(
@@ -288,8 +341,8 @@ def second_difference_operator(index_map: CoefficientIndexMap) -> np.ndarray:
 def solve_penalized(system: GramSystem, lam: float) -> CoefficientSet:
     """Solve ``(G + lam * D'D) c = F`` with a second-difference penalty.
 
-    ``lam`` must be nonnegative; ``lam = 0`` reproduces the plain
-    normal equations. The penalty acts on each lag-kernel block only,
+    ``lam`` must be finite and nonnegative; ``lam = 0`` reproduces the
+    plain normal equations. The penalty acts on each lag-kernel block only,
     leaving intercept and scalar coefficients unpenalized, so large
     ``lam`` drives the kernels toward straight lines. When the solve
     finds ``G + lam * D'D`` singular or ill-conditioned, raises
@@ -297,18 +350,27 @@ def solve_penalized(system: GramSystem, lam: float) -> CoefficientSet:
     of returning the solution.
     """
     lam = float(lam)
-    if lam < 0.0:
-        raise ValueError(f"penalty weight must be nonnegative, got {lam!r}")
+    if not (np.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"penalty weight must be finite and nonnegative, got {lam!r}")
     D = second_difference_operator(system.index_map)
     A = system.G + lam * (D.T @ D)
+    return system.index_map.unpack(_solve_or_raise(A, system.F, "sym"))
+
+
+def _solve_or_raise(A: np.ndarray, F: np.ndarray, assume_a: str) -> np.ndarray:
+    """``scipy.linalg.solve(A, F)``, with singular or ill-conditioned ``A`` an error.
+
+    scipy's ill-conditioning warning and its singular-matrix error both
+    become :class:`NearSingularError` carrying the extreme eigenvalues
+    of ``A``, which are computed only on that path.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
         try:
-            c = scipy.linalg.solve(A, system.F, assume_a="sym")
+            return scipy.linalg.solve(A, F, assume_a=assume_a)
         except (scipy.linalg.LinAlgWarning, scipy.linalg.LinAlgError):
             evals = scipy.linalg.eigh(A, eigvals_only=True)
             raise NearSingularError(evals[0], evals[-1]) from None
-    return system.index_map.unpack(c)
 
 
 @dataclass(frozen=True)

@@ -312,6 +312,32 @@ class TestToleranceFlags:
         assert err["error"] == "NearSingularError"
         assert not fit_path.exists()
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--pivot-tol", "nan"], "pivot-tol"),
+            (["--pivot-tol", "-1"], "pivot-tol"),
+            (["--pivot-tol", "1"], "pivot-tol"),
+            (["--svd-tol", "nan"], "svd-tol"),
+            (["--svd-tol", "0"], "svd-tol"),
+            (["--svd-tol", "1.5"], "svd-tol"),
+            (["--solver", "ridge", "--lambda", "inf"], "lambda"),
+            (["--solver", "ridge", "--lambda", "nan"], "lambda"),
+        ],
+    )
+    def test_out_of_range_solver_flag_exits_2(self, tmp_path, capsys, flags, field):
+        # On this rank-deficient design a guard switched off by a NaN or
+        # negative --pivot-tol would end in scipy's singular-matrix error.
+        manifest = simulate(tmp_path, capsys, **deficient_overrides())
+        fit_path = tmp_path / "fit.json"
+        code = main(["fit", "--design", str(manifest), "--out", str(fit_path), *flags])
+        err = single_error(capsys)
+        assert code == 2
+        assert err["error"] == "ValidationError"
+        assert err["field"] == field
+        assert "Warning" not in err["message"]
+        assert not fit_path.exists()
+
 
 class TestConfigFile:
     def test_config_supplies_missing_flags(self, tmp_path, capsys):

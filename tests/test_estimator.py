@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fcmlab import estimator
 from fcmlab.designs import GeneratorSpec, NoiseSpec, gen_design
 from fcmlab.downsample import fit_flm, flm_normal_equations, to_flm
 from fcmlab.errors import ConformalityError, NearSingularError
@@ -41,7 +44,97 @@ def weighted_rel_dist(weights, a, b):
     return num / den
 
 
+def dense_normal_equations(design):
+    """Reference ``sum_i A_i' W_i A_i`` and ``sum_i A_i' W_i y_i`` from the dense rows."""
+    imap = CoefficientIndexMap.from_design(design)
+    k0 = design.alpha_star_index()
+    G = np.zeros((imap.size, imap.size))
+    F = np.zeros(imap.size)
+    for i, obs in enumerate(design.observations):
+        t_idx = np.arange(k0, len(obs.y))
+        A, y = observation_rows(design, i, t_idx)
+        AW = A * quadrature_weights(t_idx.size, design.step)[:, None]
+        G += A.T @ AW
+        F += AW.T @ y
+    return G, F
+
+
+# The structured assembly sums in another order than the dense rows, so
+# entries may differ by rounding; 1e-12 of the largest entry leaves
+# three orders of magnitude above the double-precision error of sums
+# this short.
+ASSEMBLY_RTOL = 1e-12
+
+
+def assert_matches_dense(design):
+    system = assemble(design)
+    G, F = dense_normal_equations(design)
+    assert np.array_equal(system.G, system.G.T)
+    assert np.max(np.abs(system.G - G)) <= ASSEMBLY_RTOL * np.max(np.abs(G))
+    assert np.max(np.abs(system.F - F)) <= ASSEMBLY_RTOL * np.max(np.abs(F))
+
+
+@st.composite
+def small_designs(draw):
+    """Designs with p = 1..3, d = 0..2, unequal lags and lengths.
+
+    Some lags are shorter than the largest (``L_j < k0``), some
+    observations keep only two fitting samples, and a curve may be zero
+    or constant instead of random.
+    """
+    step = 0.125
+    p = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 2))
+    lag_steps = draw(st.lists(st.integers(1, 6), min_size=p, max_size=p))
+    k0 = max(lag_steps)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["random", "zero", "constant"])
+    observations = []
+    for _ in range(draw(st.integers(1, 4))):
+        n_pts = k0 + draw(st.integers(2, 12))
+        curves = []
+        for kind in draw(st.lists(kinds, min_size=p + 1, max_size=p + 1)):
+            if kind == "random":
+                curves.append(rng.standard_normal(n_pts))
+            else:
+                curves.append(np.full(n_pts, 0.0 if kind == "zero" else rng.uniform(-2.0, 2.0)))
+        y, *xs = (GridFunction(0.0, step, c) for c in curves)
+        observations.append(Observation(y, tuple(xs), tuple(rng.standard_normal(d))))
+    return Design(tuple(observations), tuple(step * s for s in lag_steps), step)
+
+
 class TestAssemble:
+    @given(design=small_designs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_dense_rows(self, design):
+        assert_matches_dense(design)
+
+    def test_matches_the_dense_rows_on_unequal_lengths(self, unequal_design):
+        assert_matches_dense(unequal_design)
+
+    def test_forms_no_dense_rows(self, monkeypatch, noisy_design):
+        # The point of the structured assembly is that no observation's
+        # N x m row matrix exists; the dense builders stay as the reference.
+        design, _ = noisy_design
+        calls = []
+        rows = CoefficientIndexMap.rows
+        obs_rows = estimator.observation_rows
+
+        def counting_rows(*args, **kwargs):
+            calls.append("rows")
+            return rows(*args, **kwargs)
+
+        def counting_observation_rows(*args, **kwargs):
+            calls.append("observation_rows")
+            return obs_rows(*args, **kwargs)
+
+        monkeypatch.setattr(CoefficientIndexMap, "rows", counting_rows)
+        monkeypatch.setattr(estimator, "observation_rows", counting_observation_rows)
+        assemble(design)
+        assert calls == []
+        observation_rows(design, 0, np.arange(design.alpha_star_index(), 20))
+        assert calls == ["rows"]
+
     def test_zero_covariate_zeroes_the_block(self):
         design = single_obs_design(np.zeros(9), 0.25, 1.0)
         system = assemble(design)
@@ -134,6 +227,23 @@ class TestSolveDirect:
         coef = solve_direct(system)
         assert np.allclose(imap.pack(coef), target, atol=1e-13)
 
+    def test_ill_conditioned_system_raises_past_the_guard(self):
+        # pivot_tol = 0 lets the eigenvalue guard pass; the factorization
+        # then finds rcond = 1e-17, and a solution of that system would
+        # be a huge-norm kernel.
+        imap = CoefficientIndexMap.from_parts(0, (0.5,), 0.25)
+        evals = np.array([1e-17, 1e-3, 0.1, 1.0])
+        system = GramSystem(G=np.diag(evals), F=np.ones(4), index_map=imap, weights=np.ones(4))
+        with pytest.raises(NearSingularError) as exc:
+            solve_direct(system, pivot_tol=0.0)
+        assert (exc.value.min_eig, exc.value.max_eig) == (evals[0], evals[-1])
+
+    @pytest.mark.parametrize("pivot_tol", [np.nan, np.inf, -1.0, 1.0])
+    def test_pivot_tol_outside_the_unit_interval_rejected(self, noisy_design, pivot_tol):
+        design, _ = noisy_design
+        with pytest.raises(ValueError):
+            solve_direct(assemble(design), pivot_tol)
+
     def test_error_carries_eigenvalues(self, deficient_design):
         design, _ = deficient_design
         with pytest.raises(NearSingularError) as exc:
@@ -199,6 +309,12 @@ class TestSolvePenalized:
         design, _ = noisy_design
         with pytest.raises(ValueError):
             solve_penalized(assemble(design), -1.0)
+
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_non_finite_penalty_rejected(self, noisy_design, lam):
+        design, _ = noisy_design
+        with pytest.raises(ValueError):
+            solve_penalized(assemble(design), lam)
 
     def test_singular_system_raises_with_its_eigenvalues(self, deficient_design):
         # Without a penalty the kernel block has rank 7 of 13, and the
