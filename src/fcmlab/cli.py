@@ -73,8 +73,8 @@ class RunConfig:
             raise ValidationError("--pivot-tol must lie in [0, 1)", field="pivot-tol")
         if not 0.0 < self.svd_rel_tol <= 1.0:
             raise ValidationError("--svd-tol must lie in (0, 1]", field="svd-tol")
-        if self.U is not None and self.U <= 0.0:
-            raise ValidationError("--U must be positive", field="U")
+        if self.U is not None and not (math.isfinite(self.U) and self.U > 0.0):
+            raise ValidationError("--U must be finite and positive", field="U")
         if self.solver not in _SOLVERS:
             raise ValidationError(
                 f"unknown solver {self.solver!r}, expected one of {sorted(_SOLVERS)}",

@@ -38,7 +38,14 @@ class FlmDataset:
     the lag grid ``u = 0, ..., alpha_j``; ``obs_index`` and ``l_index``
     identify the source observation and the sampling index ``l`` such
     that the row time is ``alpha_star + l * U``. ``counts[i]`` is the
-    number of rows contributed by observation ``i``.
+    number of rows contributed by observation ``i``; its rows are
+    consecutive, in order of ``l``.
+
+    Within one observation the windows are delay windows: with
+    ``stride = U / step`` samples, ``windows[j][r + 1][u + stride] ==
+    windows[j][r][u]`` bit for bit wherever both sides exist.
+    :func:`fcmlab.fileio.write_flm_csv` checks this and formats each
+    covariate sample once.
     """
 
     U: float

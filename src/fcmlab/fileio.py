@@ -5,8 +5,10 @@ A design lives on disk as a JSON manifest naming one CSV per curve
 JSON artifact carries a ``format_version`` field. All writers are
 atomic, through :func:`fcmlab.util.atomic_write`: content goes to a
 temporary file in the destination directory and is renamed into place,
-so readers never observe partial output. Every CSV goes through
-:func:`fcmlab.util.write_csv`, which streams its rows in blocks.
+so readers never observe partial output. Every CSV but the row export
+goes through :func:`fcmlab.util.write_csv`, which streams its rows in
+blocks; :func:`write_flm_csv` streams the same bytes but formats each
+covariate sample once, not once for every delay window that holds it.
 """
 
 from __future__ import annotations
@@ -22,8 +24,15 @@ from fcmlab.errors import FcmlabError, GridError, ValidationError
 from fcmlab.estimator import FitResult
 from fcmlab.grids import GridFunction, read_grid_csv, snap_to_index, write_grid_csv
 from fcmlab.identifiability import DiagnosisReport
-from fcmlab.model import CoefficientSet, Design, Observation
-from fcmlab.util import atomic_write, json_value, reject_non_finite, write_csv
+from fcmlab.model import CoefficientSet, Design, Observation, delay_matrix
+from fcmlab.util import (
+    CELL_FORMAT,
+    atomic_write,
+    block_rows,
+    json_value,
+    reject_non_finite,
+    write_csv,
+)
 
 __all__ = [
     "FORMAT_VERSION",
@@ -255,11 +264,58 @@ def write_residual_curves_csv(path, report: DiagnosisReport) -> None:
     write_csv(path, ["observation", "covariate", "K", "residual"], [rows])
 
 
+def _window_text(windows: np.ndarray, stride: int) -> tuple[str, list[slice]]:
+    """Format one observation's delay windows of one covariate, each sample once.
+
+    ``windows[k]`` is row ``k``'s reversed window, and row ``k + 1``'s
+    window is row ``k``'s shifted by ``stride`` samples. The windows are
+    packed into one segment, newest sample first, which must match every
+    window bit for bit (so ``-0.0`` keeps its sign) or ``ValueError`` is
+    raised. Returns the segment's CSV text and, for each row, the slice
+    of that text that is its window.
+    """
+    rows, width = windows.shape
+    s = min(stride, width)  # windows that do not overlap are packed end to end
+    segment = np.concatenate([windows[::-1, :s].ravel(), windows[0, s:]])
+    first = s * np.arange(rows - 1, -1, -1)  # segment index of each row's newest sample
+    packed = delay_matrix(segment[::-1], segment.size - 1 - first, width - 1)
+    if not np.array_equal(packed.view(np.int64), windows.view(np.int64)):
+        raise ValueError(f"rows are not delay windows {stride} samples apart")
+    text = (CELL_FORMAT + ",") * segment.size % tuple(segment.tolist())
+    commas = np.flatnonzero(np.frombuffer(text.encode("ascii"), np.uint8) == ord(","))
+    starts = np.concatenate([[0], commas + 1])  # starts[q]: where sample q's text begins
+    return text, list(map(slice, starts[first].tolist(), (starts[first + width] - 1).tolist()))
+
+
 def write_flm_csv(path, data) -> None:
-    """Write down-sampled rows: observation, l, y, scalars, then windows."""
+    """Write down-sampled rows: observation, l, y, scalars, then windows.
+
+    The bytes are those of :func:`fcmlab.util.write_csv` on the same
+    columns. The rows of one observation hold each covariate's delay
+    windows at ``U / step`` samples apart, so every sample is formatted
+    once and each row's window is a substring of that text. A dataset
+    whose windows are not delay windows raises ``ValueError`` and leaves
+    no file. Text is streamed in blocks of one observation's rows at most.
+    """
     header = ["obs", "l", "y"] + [f"z{k}" for k in range(data.d)]
     header += [f"x{j}_u{m}" for j, win in enumerate(data.windows) for m in range(win.shape[1])]
-    write_csv(path, header, [data.obs_index, data.l_index, data.y, data.z, *data.windows])
+    stride = snap_to_index(data.U / data.step)
+    scalars = np.column_stack([data.obs_index, data.l_index, data.y, data.z]).astype(float)
+    template = ",".join([CELL_FORMAT] * scalars.shape[1])
+    per_block = block_rows(len(header))
+    bounds = np.cumsum([0, *data.counts]).tolist()
+
+    def blocks():
+        yield ",".join(header) + "\n"
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            windows = [_window_text(w[a:b], stride) for w in data.windows]
+            heads = [template % tuple(r) for r in scalars[a:b].tolist()]
+            for k in range(0, b - a, per_block):
+                part = slice(k, k + per_block)
+                cells = [heads[part]] + [[text[c] for c in cuts[part]] for text, cuts in windows]
+                yield "".join([",".join(row) + "\n" for row in zip(*cells)])
+
+    atomic_write(path, blocks())
 
 
 def parse_simulation_spec(raw: Mapping[str, Any], source=None):

@@ -16,6 +16,10 @@ from fcmlab.errors import ValidationError
 # budget in cells keeps blocks of wide row tables as small as a curve's.
 _BLOCK_CELLS = 16384
 
+# The text of every CSV cell: it round-trips every double and prints
+# integers as plain digits.
+CELL_FORMAT = "%.17g"
+
 _JSON_TYPE_NAMES = {
     float: "a finite number",
     int: "an integer",
@@ -47,16 +51,21 @@ def atomic_write(path, chunks: Iterable[str]) -> None:
         raise
 
 
+def block_rows(width: int) -> int:
+    """Rows of ``width`` cells that one block of CSV text holds (at least one)."""
+    return max(1, _BLOCK_CELLS // width)
+
+
 def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Write ``columns`` of equal length under ``header`` as CSV, atomically.
 
-    A 2-D column fills several cells of a row. Every cell is ``%.17g``, which
-    round-trips every double and prints integers as plain digits.
+    A 2-D column fills several cells of a row. Every cell is formatted
+    with :data:`CELL_FORMAT`.
     """
     cols = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
     width = sum(c.shape[1] for c in cols)
-    template = ",".join(["%.17g"] * width) + "\n"
-    rows = max(1, _BLOCK_CELLS // width)
+    template = ",".join([CELL_FORMAT] * width) + "\n"
+    rows = block_rows(width)
 
     def blocks():
         yield ",".join(header) + "\n"

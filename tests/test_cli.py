@@ -568,6 +568,17 @@ class TestErrorReporting:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("U", ["nan", "inf"])
+    def test_non_finite_sampling_interval_exits_2(self, tmp_path, capsys, U):
+        # The manifest does not exist: --U is refused before it is read.
+        out = tmp_path / "rows.csv"
+        code = main(["downsample", "--design", str(tmp_path / "nowhere.json"), "--U", U, "--out", str(out)])
+        err = single_error(capsys)
+        assert code == 2
+        assert err["error"] == "ValidationError"
+        assert err["field"] == "U"
+        assert not out.exists()
+
     def test_missing_manifest_is_an_io_error(self, tmp_path, capsys):
         code = main(
             [

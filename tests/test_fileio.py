@@ -1,17 +1,20 @@
+import dataclasses
 import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcmlab import fileio, util
 from fcmlab.designs import GeneratorSpec, NoiseSpec, gen_design
-from fcmlab.downsample import to_flm
+from fcmlab.downsample import FlmDataset, to_flm
 from fcmlab.errors import ValidationError
 from fcmlab.estimator import fit
 from fcmlab.grids import GridFunction
 from fcmlab.identifiability import diagnose
-from fcmlab.model import CoefficientSet
+from fcmlab.model import CoefficientSet, Design, Observation
 
 # Doubles whose text is easy to get wrong: a signed zero, the smallest
 # subnormal, a huge value and a short negative one.
@@ -26,6 +29,66 @@ def reference_csv(header, rows):
 
     lines = [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
     return "".join(line + "\n" for line in lines)
+
+
+def flm_header(data):
+    header = ["obs", "l", "y"] + [f"z{k}" for k in range(data.d)]
+    return header + [f"x{j}_u{m}" for j, w in enumerate(data.windows) for m in range(w.shape[1])]
+
+
+def flm_reference(data):
+    """The row CSV of ``data`` formatted cell by cell."""
+    rows = [
+        [int(data.obs_index[r]), int(data.l_index[r]), float(data.y[r])]
+        + data.z[r].tolist()
+        + [v for w in data.windows for v in w[r].tolist()]
+        for r in range(data.row_count)
+    ]
+    return reference_csv(flm_header(data), rows)
+
+
+def with_special_samples(design):
+    """``design`` with SPECIAL written into its covariate curves.
+
+    The samples start at grid index ``k0 + 2``, so they fall inside the
+    windows of the rows near the start of each observation.
+    """
+    k = design.alpha_star_index() + 2
+    observations = []
+    for obs in design.observations:
+        xs = []
+        for x in obs.x:
+            values = x.values.copy()
+            values[k : k + len(SPECIAL)] = SPECIAL
+            xs.append(GridFunction(x.start, x.step, values))
+        observations.append(Observation(obs.y, tuple(xs), obs.z))
+    return Design(tuple(observations), design.lags, design.step)
+
+
+@st.composite
+def flm_datasets(draw):
+    """Row datasets of small designs holding any finite doubles.
+
+    p = 1..3 covariates with unequal lags, d = 0..2 scalars, one to three
+    observations of unequal length, and a stride of 1 to 12 steps, so
+    windows overlap, tile exactly or leave gaps.
+    """
+    step = 0.125
+    p = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 2))
+    lag_steps = draw(st.lists(st.integers(1, 6), min_size=p, max_size=p))
+    stride = draw(st.integers(1, 12))
+    k0 = max(lag_steps)
+    doubles = st.floats(allow_nan=False, allow_infinity=False)
+    observations = []
+    for _ in range(draw(st.integers(1, 3))):
+        n_pts = k0 + 2 + draw(st.integers(0, 3 * stride))
+        curves = [np.array(draw(st.lists(doubles, min_size=n_pts, max_size=n_pts))) for _ in range(p + 1)]
+        y, *xs = (GridFunction(0.0, step, c) for c in curves)
+        z = tuple(draw(st.lists(doubles, min_size=d, max_size=d)))
+        observations.append(Observation(y, tuple(xs), z))
+    design = Design(tuple(observations), tuple(step * s for s in lag_steps), step)
+    return to_flm(design, stride * step)
 
 
 def spec_dict(**overrides):
@@ -231,28 +294,86 @@ class TestCsvBytes:
         header = ["observation", "covariate", "K", "residual"]
         assert path.read_text() == reference_csv(header, rows)
 
-    @pytest.mark.parametrize("rows_per_block", [None, 1, 2])
-    def test_flm_csv(self, tmp_path, monkeypatch, unequal_design, rows_per_block):
-        # Two covariates and one scalar on observations of unequal length;
-        # small block budgets put block boundaries inside the table.
-        data = to_flm(unequal_design, 2 * unequal_design.step)
-        widths = [w.shape[1] for w in data.windows]
+    @pytest.mark.parametrize(
+        "stride, rows_per_block",
+        [
+            # Ids "None", "1" and "2" name the rows per block at stride 2.
+            pytest.param(2, None, id="None"),
+            pytest.param(2, 1, id="1"),
+            pytest.param(2, 2, id="2"),
+            pytest.param(1, None, id="stride1"),
+            pytest.param(1, 3, id="stride1-3rows"),
+            pytest.param(5, None, id="stride5-x0-tiles"),
+            pytest.param(9, 2, id="stride9-x1-tiles-x0-gaps"),
+            pytest.param(10, None, id="stride10-gaps"),
+        ],
+    )
+    def test_flm_csv(self, tmp_path, monkeypatch, unequal_design, stride, rows_per_block):
+        # Two covariates (windows of 5 and 9 samples) and one scalar on
+        # observations of unequal length, with SPECIAL inside windows;
+        # small block budgets put block boundaries inside an observation.
+        data = to_flm(with_special_samples(unequal_design), stride * unequal_design.step)
         if rows_per_block is not None:
-            cells = 3 + data.d + sum(widths)
+            cells = len(flm_header(data))
             monkeypatch.setattr(util, "_BLOCK_CELLS", rows_per_block * cells + cells - 1)
         path = tmp_path / "flm.csv"
         fileio.write_flm_csv(path, data)
-        header = ["obs", "l", "y", "z0"] + [
-            f"x{j}_u{m}" for j, width in enumerate(widths) for m in range(width)
-        ]
-        rows = [
-            [int(data.obs_index[r]), int(data.l_index[r]), float(data.y[r])]
-            + data.z[r].tolist()
-            + [v for w in data.windows for v in w[r].tolist()]
-            for r in range(data.row_count)
-        ]
-        assert (data.d, len(widths)) == (1, 2)
-        assert path.read_text() == reference_csv(header, rows)
+        assert (data.d, [w.shape[1] for w in data.windows]) == (1, [5, 9])
+        assert path.read_text() == flm_reference(data)
+
+    @given(data=flm_datasets())
+    @settings(max_examples=60, deadline=None)
+    def test_flm_csv_of_any_small_design(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("flm") / "flm.csv"
+        fileio.write_flm_csv(path, data)
+        assert path.read_text() == flm_reference(data)
+
+    def test_flm_csv_streams_blocks(self, tmp_path, monkeypatch, unequal_design):
+        data = to_flm(unequal_design, unequal_design.step)
+        chunks = []
+
+        def capture(path, blocks):
+            chunks.extend(blocks)
+            util.atomic_write(path, chunks)
+
+        monkeypatch.setattr(fileio, "atomic_write", capture)
+        path = tmp_path / "flm.csv"
+        fileio.write_flm_csv(path, data)
+        text = path.read_text()
+        assert text == flm_reference(data)
+        rows = [chunk.count("\n") for chunk in chunks[1:]]
+        assert max(len(chunk) for chunk in chunks) < len(text) / 2
+        assert sum(rows) == data.row_count
+        assert max(rows) <= min(max(data.counts), util.block_rows(len(flm_header(data))))
+
+    @pytest.mark.parametrize("fault", ["unshifted", "one-ulp", "signed-zero"])
+    def test_flm_csv_refuses_rows_that_are_not_delay_windows(self, tmp_path, unequal_design, fault):
+        if fault == "unshifted":
+            # Three rows at stride 1 whose windows share no samples.
+            data = FlmDataset(
+                U=0.5,
+                step=0.5,
+                lags=(1.0,),
+                alpha_star=1.0,
+                y=np.zeros(3),
+                z=np.zeros((3, 0)),
+                windows=(np.arange(9.0).reshape(3, 3),),
+                obs_index=np.zeros(3, dtype=int),
+                l_index=np.arange(3),
+                counts=(3,),
+            )
+        else:
+            design = with_special_samples(unequal_design)
+            data = to_flm(design, 2 * design.step)
+            windows = data.windows[1].copy()
+            # Row 2 holds the -0.0 sample at lag 2; row 1 holds it at lag 0.
+            # Only row 2's copy changes, to the next double or to +0.0.
+            assert windows[2, 2] == 0.0 and np.signbit(windows[2, 2])
+            windows[2, 2] = np.nextafter(-0.0, 1.0) if fault == "one-ulp" else 0.0
+            data = dataclasses.replace(data, windows=(data.windows[0], windows))
+        with pytest.raises(ValueError):
+            fileio.write_flm_csv(tmp_path / "flm.csv", data)
+        assert list(tmp_path.iterdir()) == []
 
     def test_table_longer_than_one_block(self, tmp_path):
         n = 2 * (util._BLOCK_CELLS // 2) + 1  # two full blocks of two cells a row, then one row
