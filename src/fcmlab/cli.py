@@ -112,19 +112,14 @@ def _cmd_fit(config: RunConfig) -> int:
     if not config.design_path or not config.out_path:
         raise ValidationError("fit needs --design and --out")
     design = fileio.read_design(config.design_path)
-    solver = _SOLVERS[config.solver]
-    try:
-        result = fit(
-            design,
-            solver=solver,
-            lam=config.lam,
-            pivot_tol=config.pivot_tol,
-            svd_rel_tol=config.svd_rel_tol,
-        )
-    except NearSingularError:
-        if not config.allow_rank_deficient:
-            raise
-        result = fit(design, solver="truncated_svd", svd_rel_tol=config.svd_rel_tol)
+    result = fit(
+        design,
+        solver=_SOLVERS[config.solver],
+        lam=config.lam,
+        pivot_tol=config.pivot_tol,
+        svd_rel_tol=config.svd_rel_tol,
+        allow_rank_deficient=config.allow_rank_deficient,
+    )
     fileio.write_fit_result(config.out_path, result)
     payload = fileio.fit_payload(result)
     summary = {k: payload[k] for k in ("solver_used", "sse", "gram_condition")}

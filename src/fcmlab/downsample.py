@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fcmlab.errors import ConformalityError, GridError
+from fcmlab.errors import GridError
 from fcmlab.estimator import (
     DEFAULT_PIVOT_TOL,
     CoefficientIndexMap,
@@ -34,29 +34,23 @@ __all__ = ["FlmDataset", "to_flm", "fit_flm", "flm_normal_equations", "flm_row_r
 class FlmDataset:
     """Rows of the down-sampled functional linear model.
 
-    ``windows[j][r]`` holds covariate ``j`` of row ``r`` reversed onto
-    the lag grid ``u = 0, ..., alpha_j``; ``obs_index`` and ``l_index``
-    identify the source observation and the sampling index ``l`` such
-    that the row time is ``alpha_star + l * U``. ``counts[i]`` is the
-    number of rows contributed by observation ``i``; its rows are
-    consecutive, in order of ``l``.
-
-    Within one observation the windows are delay windows: with
-    ``stride = U / step`` samples, ``windows[j][r + 1][u + stride] ==
-    windows[j][r][u]`` bit for bit wherever both sides exist.
-    :func:`fcmlab.fileio.write_flm_csv` checks this and formats each
-    covariate sample once.
+    Row ``(i, l)`` pairs the response ``y`` at ``t = alpha_star + l * U``
+    of observation ``i`` with its scalars ``z`` and each covariate's
+    reversed window ``x_ij(t - u)``, ``u = 0, ..., alpha_j``. Only ``y``
+    and ``z`` are stored per row; the ``counts[i]`` rows of observation
+    ``i`` are consecutive, in order of ``l``, and their windows are all
+    cut from ``segments[i][j]``, a view into the design's curve from the
+    first window's earliest sample to the last row's time. ``windows``,
+    ``obs_index`` and ``l_index`` are read-only arrays built from the
+    segments and ``counts`` on each access.
     """
 
     U: float
     step: float
     lags: tuple[float, ...]
-    alpha_star: float
     y: np.ndarray
     z: np.ndarray
-    windows: tuple[np.ndarray, ...]
-    obs_index: np.ndarray
-    l_index: np.ndarray
+    segments: tuple[tuple[np.ndarray, ...], ...]
     counts: tuple[int, ...]
 
     @property
@@ -67,8 +61,34 @@ class FlmDataset:
     def d(self) -> int:
         return self.z.shape[1]
 
+    @property
+    def stride(self) -> int:
+        return snap_to_index(self.U / self.step)
+
     def index_map(self) -> CoefficientIndexMap:
         return CoefficientIndexMap.from_parts(self.d, self.lags, self.step)
+
+    @property
+    def windows(self) -> tuple[np.ndarray, ...]:
+        """``windows[j][r]``: covariate ``j`` of row ``r`` reversed onto its lag grid."""
+        rows = [(segs, self.stride * np.arange(c)) for segs, c in zip(self.segments, self.counts)]
+        return tuple(
+            _read_only(np.concatenate([delay_matrix(segs[j], L + r, L) for segs, r in rows]))
+            for j, L in enumerate(size - 1 for size in self.index_map().sizes)
+        )
+
+    @property
+    def obs_index(self) -> np.ndarray:
+        return _read_only(np.repeat(np.arange(len(self.counts)), self.counts))
+
+    @property
+    def l_index(self) -> np.ndarray:
+        return _read_only(np.concatenate([np.arange(c) for c in self.counts]))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def to_flm(design: Design, U: float) -> FlmDataset:
@@ -77,37 +97,27 @@ def to_flm(design: Design, U: float) -> FlmDataset:
     ``U`` must be a positive integer multiple of the grid step.
     Observation ``i`` contributes ``floor((T_i - alpha_star) / U) + 1``
     rows at times ``alpha_star + l * U``, all inside ``[alpha_star,
-    T_i]``.
+    T_i]``. No covariate sample is copied.
     """
     stride = snap_to_index(float(U) / design.step, what=f"sampling interval {U!r}")
     if stride < 1:
         raise GridError(f"sampling interval {U!r} must be at least one grid step")
     k0 = design.alpha_star_index()
-    ys, zs, obs_ids, l_ids = [], [], [], []
-    window_parts: list[list[np.ndarray]] = [[] for _ in range(design.p)]
-    counts = []
     lag_lengths = design.lag_lengths()
-    for i, obs in enumerate(design.observations):
-        n_rows = (len(obs.y) - 1 - k0) // stride + 1
-        counts.append(n_rows)
-        t_idx = k0 + stride * np.arange(n_rows)
-        ys.append(obs.y.values[t_idx])
-        zs.append(np.tile(np.asarray(obs.z, dtype=float), (n_rows, 1)))
-        obs_ids.append(np.full(n_rows, i, dtype=int))
-        l_ids.append(np.arange(n_rows, dtype=int))
-        for j, (xj, L) in enumerate(zip(obs.x, lag_lengths)):
-            window_parts[j].append(delay_matrix(xj.values, t_idx, L))
+    ys = [obs.y.values[k0::stride] for obs in design.observations]
+    counts = tuple(y.size for y in ys)
+    segments = tuple(
+        tuple(xj.values[k0 - L : k0 + stride * (n - 1) + 1] for xj, L in zip(obs.x, lag_lengths))
+        for obs, n in zip(design.observations, counts)
+    )
     return FlmDataset(
         U=float(U),
         step=design.step,
         lags=design.lags,
-        alpha_star=design.alpha_star,
         y=np.concatenate(ys),
-        z=np.concatenate(zs, axis=0),
-        windows=tuple(np.concatenate(parts, axis=0) for parts in window_parts),
-        obs_index=np.concatenate(obs_ids),
-        l_index=np.concatenate(l_ids),
-        counts=tuple(counts),
+        z=np.repeat([obs.z for obs in design.observations], counts, axis=0),
+        segments=segments,
+        counts=counts,
     )
 
 
@@ -140,8 +150,6 @@ def fit_flm(
     rank-deficient normal matrix raises :class:`NearSingularError`;
     with ``lam > 0`` the penalty usually restores uniqueness.
     """
-    if data.row_count < 1:
-        raise ConformalityError("no rows to fit")
     system = flm_normal_equations(data)
     if float(lam) == 0.0:
         return solve_direct(system, pivot_tol)

@@ -23,7 +23,7 @@ import scipy.linalg
 
 from fcmlab import model as model_mod
 from fcmlab.errors import ConformalityError, GridError, NearSingularError
-from fcmlab.grids import GridFunction, quadrature_weights
+from fcmlab.grids import GridFunction, quadrature_weights, snap_to_index
 from fcmlab.model import CoefficientSet, Design, delay_matrix
 from fcmlab.util import numerical_rank
 
@@ -64,8 +64,6 @@ class CoefficientIndexMap:
 
     @classmethod
     def from_parts(cls, d: int, lags: tuple[float, ...], step: float) -> "CoefficientIndexMap":
-        from fcmlab.grids import snap_to_index
-
         sizes = tuple(snap_to_index(a / step, what=f"lag {a!r}") + 1 for a in lags)
         offsets = []
         pos = d + 1
@@ -399,24 +397,31 @@ def fit(
     lam: float = 0.0,
     pivot_tol: float = DEFAULT_PIVOT_TOL,
     svd_rel_tol: float = DEFAULT_SVD_RTOL,
+    allow_rank_deficient: bool = False,
 ) -> FitResult:
     """Assemble the normal equations and solve them with one solver.
 
     ``solver`` is ``"direct"``, ``"truncated_svd"``, or ``"ridge"``
-    (``lam`` applies to the ridge path only).
+    (``lam`` applies to the ridge path only). ``allow_rank_deficient``
+    turns a :class:`NearSingularError` into a truncated solve of the same system.
     """
     system = assemble(design)
     min_eig, max_eig = system.extremes
     cond = float("inf") if min_eig <= 0.0 else max_eig / min_eig
     truncation_rank: int | None = None
-    if solver == "direct":
-        coef = solve_direct(system, pivot_tol)
-    elif solver == "truncated_svd":
+    try:
+        if solver == "direct":
+            coef = solve_direct(system, pivot_tol)
+        elif solver == "ridge":
+            coef = solve_penalized(system, lam)
+        elif solver != "truncated_svd":
+            raise ValueError(f"unknown solver {solver!r}")
+    except NearSingularError:
+        if not allow_rank_deficient:
+            raise
+        solver = "truncated_svd"
+    if solver == "truncated_svd":
         coef, truncation_rank = solve_truncated_svd(system, rel_tol=svd_rel_tol)
-    elif solver == "ridge":
-        coef = solve_penalized(system, lam)
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
     return FitResult(
         coef=coef,
         sse_value=model_mod.sse(design, coef),

@@ -8,7 +8,8 @@ temporary file in the destination directory and is renamed into place,
 so readers never observe partial output. Every CSV but the row export
 goes through :func:`fcmlab.util.write_csv`, which streams its rows in
 blocks; :func:`write_flm_csv` streams the same bytes but formats each
-covariate sample once, not once for every delay window that holds it.
+observation's segment of each covariate curve once and cuts every row's
+delay window out of that text, so no sample is formatted twice.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fcmlab.errors import FcmlabError, GridError, ValidationError
 from fcmlab.estimator import FitResult
 from fcmlab.grids import GridFunction, read_grid_csv, snap_to_index, write_grid_csv
 from fcmlab.identifiability import DiagnosisReport
-from fcmlab.model import CoefficientSet, Design, Observation, delay_matrix
+from fcmlab.model import CoefficientSet, Design, Observation
 from fcmlab.util import (
     CELL_FORMAT,
     atomic_write,
@@ -113,6 +114,7 @@ def read_design(manifest_path) -> Design:
         )
     step = _require(raw, "step", float, "step", manifest_path)
     lags = _require(raw, "lags", list, "lags", manifest_path)
+    lags = tuple(json_value(a, float, f"lags[{k}]", manifest_path) for k, a in enumerate(lags))
     entries = _require(raw, "observations", list, "observations", manifest_path)
     if not entries:
         raise ValidationError("no observations listed", source=manifest_path, field="observations")
@@ -124,20 +126,19 @@ def read_design(manifest_path) -> Design:
             raise ValidationError("observation entry must be an object", source=manifest_path, field=field)
         y_rel = _require(entry, "y", str, f"{field}.y", manifest_path)
         x_rels = _require(entry, "x", list, f"{field}.x", manifest_path)
-        z = entry.get("z", [])
-        if not isinstance(z, list):
-            raise ValidationError("z must be a list of numbers", source=manifest_path, field=f"{field}.z")
+        z = json_value(entry.get("z", []), list, "z", manifest_path, f"{field}.z")
+        z = tuple(json_value(v, float, f"{field}.z[{k}]", manifest_path) for k, v in enumerate(z))
         try:
             y = read_grid_csv(base / y_rel)
             xs = tuple(read_grid_csv(base / rel) for rel in x_rels)
         except OSError as exc:
             raise ValidationError(f"cannot read curve file: {exc}", source=manifest_path, field=field) from None
         try:
-            observations.append(Observation(y, xs, tuple(float(v) for v in z)))
+            observations.append(Observation(y, xs, z))
         except FcmlabError as exc:
             raise ValidationError(str(exc), source=manifest_path, field=field) from None
     try:
-        return Design(tuple(observations), tuple(float(a) for a in lags), step)
+        return Design(tuple(observations), lags, step)
     except FcmlabError as exc:
         raise ValidationError(str(exc), source=manifest_path) from None
 
@@ -264,26 +265,19 @@ def write_residual_curves_csv(path, report: DiagnosisReport) -> None:
     write_csv(path, ["observation", "covariate", "K", "residual"], [rows])
 
 
-def _window_text(windows: np.ndarray, stride: int) -> tuple[str, list[slice]]:
-    """Format one observation's delay windows of one covariate, each sample once.
+def _window_text(segment: np.ndarray, rows: int, stride: int) -> tuple[str, list[slice]]:
+    """Format one observation's segment of one covariate curve, each sample once.
 
-    ``windows[k]`` is row ``k``'s reversed window, and row ``k + 1``'s
-    window is row ``k``'s shifted by ``stride`` samples. The windows are
-    packed into one segment, newest sample first, which must match every
-    window bit for bit (so ``-0.0`` keeps its sign) or ``ValueError`` is
-    raised. Returns the segment's CSV text and, for each row, the slice
-    of that text that is its window.
+    Row ``k``'s window holds the segment's samples ``k * stride`` to
+    ``k * stride + width - 1``, newest first. Returns the reversed
+    segment's CSV text and, for each row, the slice of that text that
+    is its window.
     """
-    rows, width = windows.shape
-    s = min(stride, width)  # windows that do not overlap are packed end to end
-    segment = np.concatenate([windows[::-1, :s].ravel(), windows[0, s:]])
-    first = s * np.arange(rows - 1, -1, -1)  # segment index of each row's newest sample
-    packed = delay_matrix(segment[::-1], segment.size - 1 - first, width - 1)
-    if not np.array_equal(packed.view(np.int64), windows.view(np.int64)):
-        raise ValueError(f"rows are not delay windows {stride} samples apart")
-    text = (CELL_FORMAT + ",") * segment.size % tuple(segment.tolist())
+    width = segment.size - stride * (rows - 1)
+    text = (CELL_FORMAT + ",") * segment.size % tuple(segment[::-1].tolist())
     commas = np.flatnonzero(np.frombuffer(text.encode("ascii"), np.uint8) == ord(","))
     starts = np.concatenate([[0], commas + 1])  # starts[q]: where sample q's text begins
+    first = stride * np.arange(rows - 1, -1, -1)  # row k's newest sample in the reversed segment
     return text, list(map(slice, starts[first].tolist(), (starts[first + width] - 1).tolist()))
 
 
@@ -291,15 +285,13 @@ def write_flm_csv(path, data) -> None:
     """Write down-sampled rows: observation, l, y, scalars, then windows.
 
     The bytes are those of :func:`fcmlab.util.write_csv` on the same
-    columns. The rows of one observation hold each covariate's delay
-    windows at ``U / step`` samples apart, so every sample is formatted
-    once and each row's window is a substring of that text. A dataset
-    whose windows are not delay windows raises ``ValueError`` and leaves
-    no file. Text is streamed in blocks of one observation's rows at most.
+    columns. Every window of one observation is cut from that
+    observation's segment of the covariate curve, so each segment is
+    formatted once and each row's window is a substring of that text.
+    Text is streamed in blocks of one observation's rows at most.
     """
     header = ["obs", "l", "y"] + [f"z{k}" for k in range(data.d)]
-    header += [f"x{j}_u{m}" for j, win in enumerate(data.windows) for m in range(win.shape[1])]
-    stride = snap_to_index(data.U / data.step)
+    header += [f"x{j}_u{m}" for j, size in enumerate(data.index_map().sizes) for m in range(size)]
     scalars = np.column_stack([data.obs_index, data.l_index, data.y, data.z]).astype(float)
     template = ",".join([CELL_FORMAT] * scalars.shape[1])
     per_block = block_rows(len(header))
@@ -307,8 +299,8 @@ def write_flm_csv(path, data) -> None:
 
     def blocks():
         yield ",".join(header) + "\n"
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            windows = [_window_text(w[a:b], stride) for w in data.windows]
+        for a, b, segs in zip(bounds[:-1], bounds[1:], data.segments):
+            windows = [_window_text(seg, b - a, data.stride) for seg in segs]
             heads = [template % tuple(r) for r in scalars[a:b].tolist()]
             for k in range(0, b - a, per_block):
                 part = slice(k, k + per_block)

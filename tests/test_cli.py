@@ -500,6 +500,35 @@ class TestErrorReporting:
         assert err["error"] == "ValidationError"
         assert not fit_path.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "diagnose"])
+    @pytest.mark.parametrize(
+        "key, text, field",
+        [
+            ("z", "[null]", "observations[0].z[0]"),
+            ("z", "[[1]]", "observations[0].z[0]"),
+            ("z", "[true]", "observations[0].z[0]"),
+            ("z", '["nan"]', "observations[0].z[0]"),
+            ("z", "[1e400]", "observations[0].z[0]"),
+            ("lags", "[null, 1.0]", "lags[0]"),
+        ],
+    )
+    def test_manifest_number_that_is_not_a_finite_number_exits_2(
+        self, tmp_path, capsys, command, key, text, field
+    ):
+        # The entry goes into the manifest as raw JSON text, so 1e400
+        # reaches the parser as written.
+        manifest = simulate(tmp_path, capsys)
+        raw = json.loads(manifest.read_text())
+        (raw["observations"][0] if key == "z" else raw)[key] = "@entry@"
+        manifest.write_text(json.dumps(raw).replace('"@entry@"', text))
+        out = tmp_path / "out.json"
+        code = main([command, "--design", str(manifest), "--out", str(out)])
+        err = single_error(capsys)
+        assert code == 2
+        assert err["error"] == "ValidationError"
+        assert err["field"] == field
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "overrides, field",
         [

@@ -78,6 +78,28 @@ class TestToFlm:
                 H = delay_embed(obs.x[j], alpha)
                 assert np.array_equal(data.windows[j][rows], H[k0 - L :])
 
+    @pytest.mark.parametrize("stride", [1, 3, 16])
+    def test_rows_hold_no_copy_of_a_covariate_sample(self, unequal_design, stride):
+        # Each segment is a view into its design curve, so the dataset
+        # stores no more covariate samples than the design holds; only
+        # y and z are stored per row.
+        design = unequal_design
+        data = to_flm(design, stride * design.step)
+        curves = [x.values for obs in design.observations for x in obs.x]
+        segments = [seg for segs in data.segments for seg in segs]
+        assert all(np.shares_memory(seg, x) for seg, x in zip(segments, curves))
+        assert not any(seg.flags.writeable for seg in segments)
+        assert sum(seg.size for seg in segments) <= sum(x.size for x in curves)
+        arrays = {name for name, v in vars(data).items() if isinstance(v, np.ndarray)}
+        assert arrays == {"y", "z"}
+
+    def test_derived_views_are_read_only(self, unequal_design):
+        data = to_flm(unequal_design, 2 * unequal_design.step)
+        for a in (*data.windows, data.obs_index, data.l_index):
+            assert not a.flags.writeable
+        assert data.obs_index.tolist() == [0] * 13 + [1] * 17 + [2] * 9
+        assert data.l_index.tolist() == [*range(13), *range(17), *range(9)]
+
     def test_off_grid_interval_rejected(self, flm_design):
         design, _ = flm_design
         with pytest.raises(GridError):

@@ -431,6 +431,31 @@ class TestOneSolvePath:
         fit(design, solver=solver, lam=1e-6)
         assert len(calls) == expected
 
+    def test_rank_deficient_fallback_reuses_the_assembled_system(self, monkeypatch, deficient_design):
+        # The direct guard refuses on the cached extremes; the truncated
+        # solver then needs only its weighted eigendecomposition.
+        design, _ = deficient_design
+        calls = {"assemble": 0, "eigh": 0}
+        real_assemble, real_eigh = estimator.assemble, scipy.linalg.eigh
+
+        def counting_assemble(*args, **kwargs):
+            calls["assemble"] += 1
+            return real_assemble(*args, **kwargs)
+
+        def counting_eigh(*args, **kwargs):
+            calls["eigh"] += 1
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, "assemble", counting_assemble)
+        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+        result = fit(design, solver="direct", allow_rank_deficient=True)
+        assert calls == {"assemble": 1, "eigh": 2}
+        truncated = fit(design, solver="truncated_svd")
+        assert (result.solver_used, result.truncation_rank) == ("truncated_svd", truncated.truncation_rank)
+        assert np.array_equal(result.coef.betas[0].values, truncated.coef.betas[0].values)
+        with pytest.raises(NearSingularError):
+            fit(design, solver="direct")
+
     def test_fit_flm_uses_the_direct_guard(self, deficient_design):
         design, _ = deficient_design
         data = to_flm(design, design.step)

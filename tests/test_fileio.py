@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 from fcmlab import fileio, util
 from fcmlab.designs import GeneratorSpec, NoiseSpec, gen_design
-from fcmlab.downsample import FlmDataset, to_flm
+from fcmlab.downsample import to_flm
 from fcmlab.errors import ValidationError
 from fcmlab.estimator import fit
 from fcmlab.grids import GridFunction
@@ -19,6 +18,10 @@ from fcmlab.model import CoefficientSet, Design, Observation
 # Doubles whose text is easy to get wrong: a signed zero, the smallest
 # subnormal, a huge value and a short negative one.
 SPECIAL = [-0.0, 5e-324, 1e300, -1.5]
+
+# Cells in a row CSV line of the unequal_design fixture: obs, l, y, z0,
+# then windows of 5 and 9 samples.
+UNEQUAL_ROW_CELLS = 3 + 1 + 5 + 9
 
 
 def reference_csv(header, rows):
@@ -31,20 +34,21 @@ def reference_csv(header, rows):
     return "".join(line + "\n" for line in lines)
 
 
-def flm_header(data):
-    header = ["obs", "l", "y"] + [f"z{k}" for k in range(data.d)]
-    return header + [f"x{j}_u{m}" for j, w in enumerate(data.windows) for m in range(w.shape[1])]
+def flm_reference(design, stride):
+    """The row CSV of ``design`` at ``stride`` steps, formatted cell by cell.
 
-
-def flm_reference(data):
-    """The row CSV of ``data`` formatted cell by cell."""
-    rows = [
-        [int(data.obs_index[r]), int(data.l_index[r]), float(data.y[r])]
-        + data.z[r].tolist()
-        + [v for w in data.windows for v in w[r].tolist()]
-        for r in range(data.row_count)
-    ]
-    return reference_csv(flm_header(data), rows)
+    Rows and windows are taken from the design's curves directly.
+    """
+    lag_lengths = design.lag_lengths()
+    header = ["obs", "l", "y"] + [f"z{k}" for k in range(design.d)]
+    header += [f"x{j}_u{m}" for j, L in enumerate(lag_lengths) for m in range(L + 1)]
+    k0 = design.alpha_star_index()
+    rows = []
+    for i, obs in enumerate(design.observations):
+        for l, t in enumerate(range(k0, len(obs.y), stride)):
+            windows = [x.values[t - np.arange(L + 1)].tolist() for x, L in zip(obs.x, lag_lengths)]
+            rows.append([i, l, float(obs.y.values[t]), *obs.z, *(v for w in windows for v in w)])
+    return reference_csv(header, rows)
 
 
 def with_special_samples(design):
@@ -67,7 +71,7 @@ def with_special_samples(design):
 
 @st.composite
 def flm_datasets(draw):
-    """Row datasets of small designs holding any finite doubles.
+    """Small designs holding any finite doubles, with their row datasets.
 
     p = 1..3 covariates with unequal lags, d = 0..2 scalars, one to three
     observations of unequal length, and a stride of 1 to 12 steps, so
@@ -88,7 +92,7 @@ def flm_datasets(draw):
         z = tuple(draw(st.lists(doubles, min_size=d, max_size=d)))
         observations.append(Observation(y, tuple(xs), z))
     design = Design(tuple(observations), tuple(step * s for s in lag_steps), step)
-    return to_flm(design, stride * step)
+    return design, stride, to_flm(design, stride * step)
 
 
 def spec_dict(**overrides):
@@ -312,21 +316,23 @@ class TestCsvBytes:
         # Two covariates (windows of 5 and 9 samples) and one scalar on
         # observations of unequal length, with SPECIAL inside windows;
         # small block budgets put block boundaries inside an observation.
-        data = to_flm(with_special_samples(unequal_design), stride * unequal_design.step)
+        design = with_special_samples(unequal_design)
+        data = to_flm(design, stride * design.step)
         if rows_per_block is not None:
-            cells = len(flm_header(data))
+            cells = UNEQUAL_ROW_CELLS
             monkeypatch.setattr(util, "_BLOCK_CELLS", rows_per_block * cells + cells - 1)
         path = tmp_path / "flm.csv"
         fileio.write_flm_csv(path, data)
-        assert (data.d, [w.shape[1] for w in data.windows]) == (1, [5, 9])
-        assert path.read_text() == flm_reference(data)
+        assert (design.d, design.lag_lengths()) == (1, (4, 8))
+        assert path.read_text() == flm_reference(design, stride)
 
-    @given(data=flm_datasets())
+    @given(case=flm_datasets())
     @settings(max_examples=60, deadline=None)
-    def test_flm_csv_of_any_small_design(self, tmp_path_factory, data):
+    def test_flm_csv_of_any_small_design(self, tmp_path_factory, case):
+        design, stride, data = case
         path = tmp_path_factory.mktemp("flm") / "flm.csv"
         fileio.write_flm_csv(path, data)
-        assert path.read_text() == flm_reference(data)
+        assert path.read_text() == flm_reference(design, stride)
 
     def test_flm_csv_streams_blocks(self, tmp_path, monkeypatch, unequal_design):
         data = to_flm(unequal_design, unequal_design.step)
@@ -340,40 +346,11 @@ class TestCsvBytes:
         path = tmp_path / "flm.csv"
         fileio.write_flm_csv(path, data)
         text = path.read_text()
-        assert text == flm_reference(data)
+        assert text == flm_reference(unequal_design, 1)
         rows = [chunk.count("\n") for chunk in chunks[1:]]
         assert max(len(chunk) for chunk in chunks) < len(text) / 2
         assert sum(rows) == data.row_count
-        assert max(rows) <= min(max(data.counts), util.block_rows(len(flm_header(data))))
-
-    @pytest.mark.parametrize("fault", ["unshifted", "one-ulp", "signed-zero"])
-    def test_flm_csv_refuses_rows_that_are_not_delay_windows(self, tmp_path, unequal_design, fault):
-        if fault == "unshifted":
-            # Three rows at stride 1 whose windows share no samples.
-            data = FlmDataset(
-                U=0.5,
-                step=0.5,
-                lags=(1.0,),
-                alpha_star=1.0,
-                y=np.zeros(3),
-                z=np.zeros((3, 0)),
-                windows=(np.arange(9.0).reshape(3, 3),),
-                obs_index=np.zeros(3, dtype=int),
-                l_index=np.arange(3),
-                counts=(3,),
-            )
-        else:
-            design = with_special_samples(unequal_design)
-            data = to_flm(design, 2 * design.step)
-            windows = data.windows[1].copy()
-            # Row 2 holds the -0.0 sample at lag 2; row 1 holds it at lag 0.
-            # Only row 2's copy changes, to the next double or to +0.0.
-            assert windows[2, 2] == 0.0 and np.signbit(windows[2, 2])
-            windows[2, 2] = np.nextafter(-0.0, 1.0) if fault == "one-ulp" else 0.0
-            data = dataclasses.replace(data, windows=(data.windows[0], windows))
-        with pytest.raises(ValueError):
-            fileio.write_flm_csv(tmp_path / "flm.csv", data)
-        assert list(tmp_path.iterdir()) == []
+        assert max(rows) <= min(max(data.counts), util.block_rows(UNEQUAL_ROW_CELLS))
 
     def test_table_longer_than_one_block(self, tmp_path):
         n = 2 * (util._BLOCK_CELLS // 2) + 1  # two full blocks of two cells a row, then one row
