@@ -35,12 +35,14 @@ import numpy as np
 from fcmlab.errors import ValidationError
 from fcmlab.grids import GridFunction, snap_to_index
 from fcmlab.model import CoefficientSet, Design, Observation, _lag_sum
+from fcmlab.util import json_entry, json_value
 
 __all__ = [
     "GeneratorSpec",
     "NoiseSpec",
     "GENERATOR_KINDS",
     "mode_family_values",
+    "generator_params",
     "gen_covariate",
     "filtered_noise_modes",
     "gen_design",
@@ -102,23 +104,27 @@ class NoiseSpec:
             )
 
 
-def mode_family_values(terms, times: np.ndarray) -> np.ndarray:
+def mode_family_values(terms, times: np.ndarray, field: str = "terms") -> np.ndarray:
     """Evaluate ``sum c * t^m * exp(a t) * sin(b t + d)`` at ``times``.
 
-    ``terms`` is an iterable of mappings with keys ``c, m, a, b, d``
-    (missing keys default to ``c=1, m=0, a=0, b=0, d=pi/2``, a plain
-    exponential).
+    ``terms`` is a list of objects with keys ``c, m, a, b, d`` (missing
+    keys default to ``c=1, m=0, a=0, b=0, d=pi/2``, a plain
+    exponential): finite numbers, with ``m`` a nonnegative integer.
+    Errors name the JSON path of the entry below ``field``.
     """
     times = np.asarray(times, dtype=float)
     out = np.zeros_like(times)
-    for idx, term in enumerate(terms):
-        c = float(term.get("c", 1.0))
-        m = int(term.get("m", 0))
-        a = float(term.get("a", 0.0))
-        b = float(term.get("b", 0.0))
-        d = float(term.get("d", np.pi / 2.0))
+    for idx, term in enumerate(json_value(terms, list, "terms", field=field)):
+        at = f"{field}[{idx}]"
+        if not isinstance(term, Mapping):
+            raise ValidationError("a mode term must be an object", field=at)
+        c = json_entry(term, "c", float, 1.0, at)
+        m = json_entry(term, "m", int, 0, at)
+        a = json_entry(term, "a", float, 0.0, at)
+        b = json_entry(term, "b", float, 0.0, at)
+        d = json_entry(term, "d", float, np.pi / 2.0, at)
         if m < 0:
-            raise ValidationError(f"term {idx}: power m must be nonnegative", field="m")
+            raise ValidationError(f"term {idx}: power m must be nonnegative", field=f"{at}.m")
         out += c * times**m * np.exp(a * times) * np.sin(b * times + d)
     return out
 
@@ -138,16 +144,8 @@ def filtered_noise_modes(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray, n
     """
     if spec.kind != "filtered_noise":
         raise ValidationError(f"spec kind is {spec.kind!r}, not 'filtered_noise'")
-    params = spec.params
-    n_modes = int(params.get("n_modes", 256))
-    max_frequency = float(params.get("max_frequency", 0.5 / spec.step))
-    bandwidth = float(params.get("bandwidth", spec.step))
-    if n_modes < 1:
-        raise ValidationError("n_modes must be positive", field="n_modes")
-    if max_frequency <= 0.0:
-        raise ValidationError("max_frequency must be positive", field="max_frequency")
-    if bandwidth < 0.0:
-        raise ValidationError("bandwidth must be nonnegative", field="bandwidth")
+    params = generator_params(spec)
+    n_modes, max_frequency, bandwidth = params["n_modes"], params["max_frequency"], params["bandwidth"]
     rng = np.random.default_rng(spec.seed)
     freqs = rng.uniform(0.0, max_frequency, n_modes)
     phases = rng.uniform(0.0, 2.0 * np.pi, n_modes)
@@ -158,28 +156,60 @@ def filtered_noise_modes(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray, n
     return amps, omegas, phases
 
 
+def generator_params(spec: GeneratorSpec, field: str = "params") -> dict[str, object]:
+    """The parameters of ``spec``'s generator, checked, with defaults filled in.
+
+    Numbers go through :func:`fcmlab.util.json_value`: an integer
+    parameter takes JSON integers only, a real one any finite number.
+    Errors name the JSON path ``field.key`` of the parameter. The keys
+    per kind: ``n_modes`` (default 256), ``max_frequency`` (default
+    ``0.5 / step``) and ``bandwidth`` (default ``step``) for
+    ``filtered_noise``; ``K`` (default 8) and, for ``sinusoid_rich``,
+    ``amplitudes`` (default ``2^-k``); ``terms`` for ``self_similar``.
+    """
+    params = spec.params
+    if spec.kind == "filtered_noise":
+        out = {
+            "n_modes": json_entry(params, "n_modes", int, 256, field),
+            "max_frequency": json_entry(params, "max_frequency", float, 0.5 / spec.step, field),
+            "bandwidth": json_entry(params, "bandwidth", float, spec.step, field),
+        }
+        if out["n_modes"] < 1:
+            raise ValidationError("n_modes must be positive", field=f"{field}.n_modes")
+        if out["max_frequency"] <= 0.0:
+            raise ValidationError("max_frequency must be positive", field=f"{field}.max_frequency")
+        if out["bandwidth"] < 0.0:
+            raise ValidationError("bandwidth must be nonnegative", field=f"{field}.bandwidth")
+        return out
+    if spec.kind == "self_similar":
+        terms = params.get("terms")
+        if not terms:
+            raise ValidationError("self_similar needs a nonempty 'terms' list", field=f"{field}.terms")
+        mode_family_values(terms, np.zeros(0), f"{field}.terms")  # checks every term
+        return {"terms": terms}
+    K = json_entry(params, "K", int, 8, field)
+    if K < 1:
+        raise ValidationError("K must be positive", field=f"{field}.K")
+    if spec.kind == "orthogonal_counterexample":
+        return {"K": K}
+    at = f"{field}.amplitudes"
+    amplitudes = json_entry(params, "amplitudes", list, [2.0**-k for k in range(1, K + 1)], field)
+    amplitudes = [json_value(a, float, f"{at}[{k}]") for k, a in enumerate(amplitudes)]
+    if len(amplitudes) != K:
+        raise ValidationError(f"need {K} amplitudes, got {len(amplitudes)}", field=at)
+    return {"K": K, "amplitudes": amplitudes}
+
+
 def gen_covariate(spec: GeneratorSpec) -> GridFunction:
     """Generate one covariate curve according to ``spec``."""
     times = _grid_times(spec)
-    params = spec.params
+    params = generator_params(spec)
     if spec.kind == "sinusoid_rich":
-        K = int(params.get("K", 8))
-        if K < 1:
-            raise ValidationError("K must be positive", field="K")
-        amplitudes = params.get("amplitudes")
-        if amplitudes is None:
-            amplitudes = [2.0**-k for k in range(1, K + 1)]
-        amplitudes = [float(a) for a in amplitudes]
-        if len(amplitudes) != K:
-            raise ValidationError(f"need {K} amplitudes, got {len(amplitudes)}", field="amplitudes")
         values = np.zeros_like(times)
-        for k, amp in enumerate(amplitudes, start=1):
+        for k, amp in enumerate(params["amplitudes"], start=1):
             values += amp * np.sin(2.0 * np.pi * k * times)
         return GridFunction(0.0, spec.step, values)
     if spec.kind == "orthogonal_counterexample":
-        K = int(params.get("K", 8))
-        if K < 1:
-            raise ValidationError("K must be positive", field="K")
         rounded = round(spec.T)
         if abs(spec.T - rounded) > 1e-9 * max(1.0, spec.T) or rounded < 1:
             raise ValidationError(
@@ -188,14 +218,11 @@ def gen_covariate(spec: GeneratorSpec) -> GridFunction:
                 field="T",
             )
         values = np.zeros_like(times)
-        for k in range(1, K + 1):
+        for k in range(1, params["K"] + 1):
             values += 2.0 ** (-4.0 * k) * np.sin(4.0 * np.pi * k * times)
         return GridFunction(0.0, spec.step, values)
     if spec.kind == "self_similar":
-        terms = params.get("terms")
-        if not terms:
-            raise ValidationError("self_similar needs a nonempty 'terms' list", field="terms")
-        return GridFunction(0.0, spec.step, mode_family_values(terms, times))
+        return GridFunction(0.0, spec.step, mode_family_values(params["terms"], times))
     # filtered_noise
     amps, omegas, phases = filtered_noise_modes(spec)
     values = np.sin(times[:, None] * omegas[None, :] + phases[None, :]) @ amps

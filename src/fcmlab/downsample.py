@@ -21,11 +21,12 @@ from fcmlab.estimator import (
     DEFAULT_PIVOT_TOL,
     CoefficientIndexMap,
     GramSystem,
+    _normal_equations,
     solve_direct,
     solve_penalized,
 )
 from fcmlab.grids import snap_to_index
-from fcmlab.model import CoefficientSet, Design, delay_matrix
+from fcmlab.model import CoefficientSet, Design, _lag_sum
 
 __all__ = ["FlmDataset", "to_flm", "fit_flm", "flm_normal_equations", "flm_row_residuals"]
 
@@ -38,11 +39,12 @@ class FlmDataset:
     of observation ``i`` with its scalars ``z`` and each covariate's
     reversed window ``x_ij(t - u)``, ``u = 0, ..., alpha_j``. Only ``y``
     and ``z`` are stored per row; the ``counts[i]`` rows of observation
-    ``i`` are consecutive, in order of ``l``, and their windows are all
-    cut from ``segments[i][j]``, a view into the design's curve from the
-    first window's earliest sample to the last row's time. ``windows``,
-    ``obs_index`` and ``l_index`` are read-only arrays built from the
-    segments and ``counts`` on each access.
+    ``i`` are consecutive, in order of ``l``, and their windows, never
+    formed, are cut from ``segments[i][j]``: the view ``x_ij[k0 - L_j :
+    t_last + 1]`` into the design's curve, in which row ``l``'s newest
+    sample sits at ``L_j + stride * l``, the form in which
+    :mod:`fcmlab.estimator` assembles normal equations. ``obs_index`` and
+    ``l_index`` are read-only arrays built from ``counts`` on each access.
     """
 
     U: float
@@ -67,15 +69,6 @@ class FlmDataset:
 
     def index_map(self) -> CoefficientIndexMap:
         return CoefficientIndexMap.from_parts(self.d, self.lags, self.step)
-
-    @property
-    def windows(self) -> tuple[np.ndarray, ...]:
-        """``windows[j][r]``: covariate ``j`` of row ``r`` reversed onto its lag grid."""
-        rows = [(segs, self.stride * np.arange(c)) for segs, c in zip(self.segments, self.counts)]
-        return tuple(
-            _read_only(np.concatenate([delay_matrix(segs[j], L + r, L) for segs, r in rows]))
-            for j, L in enumerate(size - 1 for size in self.index_map().sizes)
-        )
 
     @property
     def obs_index(self) -> np.ndarray:
@@ -122,20 +115,30 @@ def to_flm(design: Design, U: float) -> FlmDataset:
 
 
 def flm_normal_equations(data: FlmDataset) -> GramSystem:
-    """Normal equations ``A'A c = A'y`` of the row regression.
+    """Normal equations ``A'A c = A'y`` of the row regression, without forming ``A``.
 
     Rows count equally (no time quadrature); the entry weights are the
     lag quadrature weights of the full estimator.
     """
-    imap = data.index_map()
-    A = imap.rows(data.z, data.windows)
-    return GramSystem(A.T @ A, A.T @ data.y, imap, imap.lag_weights())
+    starts = np.cumsum([0, *data.counts[:-1]]).tolist()
+    observations = (
+        (data.z[a], data.y[a : a + n], segs) for a, n, segs in zip(starts, data.counts, data.segments)
+    )
+    return _normal_equations(data.index_map(), observations, data.stride, trapezoid=False)
 
 
 def flm_row_residuals(data: FlmDataset, coef: CoefficientSet) -> np.ndarray:
-    """Row-wise residuals ``y - prediction`` at the given coefficients."""
+    """Row-wise residuals ``y - prediction``: each lag sum runs over a segment, read at the rows."""
     imap = data.index_map()
-    return data.y - imap.rows(data.z, data.windows) @ imap.pack(coef)
+    c = imap.pack(coef)
+    conv = [
+        sum(
+            _lag_sum(seg, c[imap.covariate_slice(j)], data.step)[size - 1 : seg.size : data.stride]
+            for j, (seg, size) in enumerate(zip(segs, imap.sizes))
+        )
+        for segs in data.segments
+    ]
+    return data.y - (c[0] + data.z @ c[1 : imap.d + 1] + np.concatenate(conv))
 
 
 def fit_flm(

@@ -16,13 +16,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
 from fcmlab import model as model_mod
-from fcmlab.errors import ConformalityError, GridError, NearSingularError
+from fcmlab.errors import ConformalityError, NearSingularError
 from fcmlab.grids import GridFunction, quadrature_weights, snap_to_index
 from fcmlab.model import CoefficientSet, Design, delay_matrix
 from fcmlab.util import numerical_rank
@@ -31,7 +30,6 @@ __all__ = [
     "CoefficientIndexMap",
     "GramSystem",
     "FitResult",
-    "observation_rows",
     "assemble",
     "solve_direct",
     "solve_truncated_svd",
@@ -90,23 +88,6 @@ class CoefficientIndexMap:
         for j, sl in enumerate(self.covariate_slice(j) for j in range(len(self.lags))):
             w[sl] = quadrature_weights(self.sizes[j], self.step)
         return w
-
-    def rows(self, z, windows: Sequence[np.ndarray]) -> np.ndarray:
-        """Regression rows ``[1, z, w * windows]`` in this layout.
-
-        ``z`` holds the scalar covariates (one row per regression row, or
-        one row for all); ``windows[j]`` is covariate ``j``'s
-        :func:`fcmlab.model.delay_matrix`, scaled here by the lag
-        quadrature weights ``w``, so that ``rows @ c`` is the prediction.
-        """
-        A = np.zeros((windows[0].shape[0], self.size))
-        A[:, 0] = 1.0
-        A[:, 1 : self.d + 1] = z
-        w = self.lag_weights()
-        for j, H in enumerate(windows):
-            sl = self.covariate_slice(j)
-            np.multiply(H, w[sl], out=A[:, sl])
-        return A
 
     def pack(self, coef: CoefficientSet) -> np.ndarray:
         c = np.empty(self.size)
@@ -182,78 +163,84 @@ class GramSystem:
         return float(evals[0]), float(evals[-1])
 
 
-def observation_rows(design: Design, i: int, t_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Regression rows of observation ``i`` at the given grid indices.
-
-    Row layout matches :class:`CoefficientIndexMap`: a 1 for the
-    intercept, the scalar covariates, then each lag window of the
-    covariate curves reversed and scaled by the lag quadrature weights,
-    so that ``row @ c`` is exactly the model prediction at that time.
-    Returns the matrix and the matching response samples.
-    """
-    imap = CoefficientIndexMap.from_design(design)
-    obs = design.observations[i]
-    t_indices = np.asarray(t_indices, dtype=int)
-    min_lag_steps = max(s - 1 for s in imap.sizes)
-    if t_indices.size and (t_indices.min() < min_lag_steps or t_indices.max() >= len(obs.y)):
-        raise GridError("time indices leave the valid prediction range")
-    windows = [delay_matrix(xj.values, t_indices, s - 1) for xj, s in zip(obs.x, imap.sizes)]
-    return imap.rows(obs.z, windows), obs.y.values[t_indices]
-
-
 def assemble(design: Design) -> GramSystem:
     """Assemble the normal equations of the discrete criterion.
 
     ``G`` and ``F`` equal ``sum_i A_i' W_i A_i`` and ``sum_i A_i' W_i
-    y_i``, where ``A_i`` holds the regression rows of
-    :func:`observation_rows` on ``[alpha_star, T_i]`` and ``W_i`` the
+    y_i``, where ``A_i`` holds the regression rows ``[1, z, w * H]`` of
+    observation ``i`` on ``[alpha_star, T_i]`` (``H`` the delay matrix of
+    each covariate, ``w`` the lag quadrature weights) and ``W_i`` the
     trapezoid weights in time, so the covariate block of ``G``
     discretizes the Gram operator of the design with quadrature weights
-    on both lag axes. ``observation_rows`` is the dense reference; no
-    ``A_i`` is formed here.
+    on both lag axes. This is :func:`_normal_equations` at stride 1; no
+    ``A_i`` is formed. The dense rows live in ``tests/conftest.py``, as
+    the reference the tests compare with.
+    """
+    k0 = design.alpha_star_index()
+    lags = design.lag_lengths()
+    observations = (
+        (obs.z, obs.y.values[k0:], [xj.values[k0 - L :] for xj, L in zip(obs.x, lags)])
+        for obs in design.observations
+    )
+    return _normal_equations(CoefficientIndexMap.from_design(design), observations, 1, trapezoid=True)
 
-    Between the lag weights, the block of covariates ``j, k`` is
-    ``h Q - h/2 (u u' + v v')`` summed over observations, with
-    ``Q[a, b] = sum_{t=k0}^{N-1} x_j[t-a] x_k[t-b]`` and the half-weight
-    rows ``u = x[k0 - a]`` and ``v = x[N-1 - a]`` (the first and last
-    rows of the delay matrix). Shifting both lags by one adds one
-    product and drops one,
-    ``Q[a+1, b+1] = Q[a, b] + x_j[k0-1-a] x_k[k0-1-b] - x_j[N-1-a] x_k[N-1-b]``,
-    so ``Q`` follows from its first row and column (products of each
-    delay matrix with the covariate curves) and the displacement
-    ``U U' - V V'``, where ``U`` stacks ``u`` without its first entry
-    and ``V`` stacks ``v`` without its last over the ``n`` observations
-    (Kailath, Kung & Morf 1979). The intercept and scalar rows and
-    ``F`` are weighted column sums of the same delay matrices. Each
-    observation costs ``O(N m)`` and each covariate pair one ``O(m^2)``
-    fill, against ``O(N m^2)`` for ``A_i' W_i A_i``. The sums run in
+
+def _normal_equations(
+    imap: CoefficientIndexMap, observations, stride: int, trapezoid: bool
+) -> GramSystem:
+    """Normal equations of regression rows ``stride`` grid steps apart.
+
+    Each item of ``observations`` is ``(z, y, segments)``: the scalar
+    covariates, the responses at the row times ``t_r = t_0 + s r``, and
+    per covariate ``j`` the curve segment ``x_j[t_0 - L_j : t_last + 1]``,
+    in which row ``r``'s newest sample sits at ``L_j + s r``. Rows carry
+    the trapezoid weights in time when ``trapezoid`` is set and count
+    equally otherwise.
+
+    Between the lag weights, the block of covariates ``j, k`` is ``Q[a,
+    b] = sum_r x_j[t_r - a] x_k[t_r - b]`` summed over observations; the
+    trapezoid makes it ``h Q - h/2 (u u' + v v')``, where ``u = x[t_0 -
+    a]`` and ``v = x[t_last - a]`` are the first and last rows of the
+    delay matrix. Shifting both lags by one stride adds one product and
+    drops one,
+    ``Q[a+s, b+s] = Q[a, b] + x_j[t_0-s-a] x_k[t_0-s-b] - x_j[t_last-a] x_k[t_last-b]``,
+    so ``Q`` follows from its first ``s`` rows and columns (products of
+    each delay matrix with the first ``s`` lag columns of the curves) and
+    the displacement ``U U' - V V'``, where ``U`` stacks ``u`` without
+    its first ``s`` entries and ``V`` stacks ``v`` without its last ``s``
+    (Kailath, Kung & Morf 1979). The intercept and scalar rows and ``F``
+    are weighted column sums of the same delay matrices. An observation
+    of ``R`` rows costs ``O(R m min(s, m))`` and each covariate pair one
+    ``O(m^2)`` fill, against ``O(R m^2)`` for ``A' A``. The sums run in
     another order than the dense route's, so entries differ from it by
     rounding, about 1e-15 of the largest. ``G`` is exactly symmetric.
     """
-    imap = CoefficientIndexMap.from_design(design)
-    k0, h, lead = design.alpha_star_index(), design.step, design.d + 1
-    lags = [s - 1 for s in imap.sizes]
-    blocks = [imap.covariate_slice(j) for j in range(design.p)]
+    h, lead, s = imap.step, imap.d + 1, stride
+    lags = [size - 1 for size in imap.sizes]
+    n_first = [min(s, size) for size in imap.sizes]  # rows of Q_jk formed directly
+    blocks = [imap.covariate_slice(j) for j in range(len(lags))]
     G = np.zeros((imap.size, imap.size))
     F = np.zeros(imap.size)
-    first = [[np.zeros(s) for s in imap.sizes] for _ in lags]  # first[j][k] = Q_jk[0, :]
-    head = [np.zeros((lead, s)) for s in imap.sizes]  # sum of [1, z] times Wt @ H_k
+    first = [[np.zeros((a, size)) for size in imap.sizes] for a in n_first]  # first[j][k] = Q_jk[:s]
+    head = [np.zeros((lead, size)) for size in imap.sizes]  # sum of [1, z] times Wt @ H_k
     ends = [[] for _ in lags]  # [H_k[0], H_k[-1]] of every observation
-    for obs in design.observations:
-        t_idx = np.arange(k0, len(obs.y))
-        Wt = quadrature_weights(t_idx.size, h)
-        y = obs.y.values[k0:]
-        level = np.concatenate(([1.0], obs.z))
+    for z, y, segments in observations:
+        level = np.concatenate(([1.0], z))
+        r = np.arange(0, s * y.size, s)
+        Wt = quadrature_weights(y.size, h) if trapezoid else np.ones(y.size)
         G[:lead, :lead] += Wt.sum() * np.outer(level, level)
         F[:lead] += (Wt @ y) * level
-        R = np.vstack([Wt, Wt * y] + [xj.values[k0:] for xj in obs.x])
-        for k, (xk, L) in enumerate(zip(obs.x, lags)):
-            H = delay_matrix(xk.values, t_idx, L)
+        cols = [seg[L - a :: s] for seg, L, n in zip(segments, lags, n_first) for a in range(n)]
+        R = np.vstack([Wt, Wt * y] + cols)
+        for k, (seg, L) in enumerate(zip(segments, lags)):
+            H = delay_matrix(seg, L + r, L)
             M = R @ H
             head[k] += np.outer(level, M[0])
             F[blocks[k]] += M[1]
-            for j in range(len(lags)):
-                first[j][k] += M[2 + j]
+            row = 2
+            for j, n in enumerate(n_first):
+                first[j][k] += M[row : row + n]
+                row += n
             ends[k].append(H[[0, -1]])
     w = imap.lag_weights()
     U = [np.array(e)[:, 0].T for e in ends]
@@ -264,12 +251,14 @@ def assemble(design: Design) -> GramSystem:
         for j, sj in enumerate(blocks[: k + 1]):
             UU, VV = U[j] @ U[k].T, V[j] @ V[k].T
             Q = np.empty_like(UU)
-            Q[0] = first[j][k]
-            Q[1:, 0] = first[k][j][1:]
-            Q[1:, 1:] = UU[1:, 1:] - VV[:-1, :-1]
-            for a in range(1, Q.shape[0]):
-                Q[a, 1:] += Q[a - 1, :-1]
-            G[sj, sk] = (h * Q - 0.5 * h * (UU + VV)) * np.outer(w[sj], w[sk])
+            Q[:s] = first[j][k]
+            Q[s:, :s] = first[k][j][:, s:].T
+            Q[s:, s:] = UU[s:, s:] - VV[:-s, :-s]
+            for a in range(s, Q.shape[0]):
+                Q[a, s:] += Q[a - s, :-s]
+            if trapezoid:
+                Q = h * Q - 0.5 * h * (UU + VV)
+            G[sj, sk] = Q * np.outer(w[sj], w[sk])
     G = np.triu(G)
     G += np.triu(G, 1).T
     return GramSystem(G, F, imap, w)

@@ -20,7 +20,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from fcmlab.designs import GeneratorSpec, NoiseSpec
+from fcmlab.designs import GeneratorSpec, NoiseSpec, generator_params, mode_family_values
 from fcmlab.errors import FcmlabError, GridError, ValidationError
 from fcmlab.estimator import FitResult
 from fcmlab.grids import GridFunction, read_grid_csv, snap_to_index, write_grid_csv
@@ -30,6 +30,7 @@ from fcmlab.util import (
     CELL_FORMAT,
     atomic_write,
     block_rows,
+    json_entry,
     json_value,
     reject_non_finite,
     write_csv,
@@ -318,8 +319,6 @@ def parse_simulation_spec(raw: Mapping[str, Any], source=None):
     inline ``values`` arrays or as mode-family ``terms`` evaluated on
     the lag grid.
     """
-    from fcmlab.designs import mode_family_values
-
     if not isinstance(raw, Mapping):
         raise ValidationError("simulation spec must be a JSON object", source=source)
     reject_non_finite(raw, source)
@@ -344,18 +343,19 @@ def parse_simulation_spec(raw: Mapping[str, Any], source=None):
         params = entry.get("params", {})
         if not isinstance(params, Mapping):
             raise ValidationError("params must be an object", source=source, field=f"covariates[{j}].params")
-        cov_specs.append(
-            GeneratorSpec(
-                kind=kind,
-                T=T,
-                step=step,
-                seed=_require(entry, "seed", int, f"covariates[{j}].seed", source)
-                if "seed" in entry
-                else seed + 97 * (j + 1),
-                params=params,
-            )
+        spec = GeneratorSpec(
+            kind=kind,
+            T=T,
+            step=step,
+            seed=_require(entry, "seed", int, f"covariates[{j}].seed", source)
+            if "seed" in entry
+            else seed + 97 * (j + 1),
+            params=params,
         )
-    beta0 = [float(v) for v in _require(raw, "beta0", list, "beta0", source)]
+        generator_params(spec, f"covariates[{j}].params")
+        cov_specs.append(spec)
+    beta0 = _require(raw, "beta0", list, "beta0", source)
+    beta0 = [json_value(v, float, f"beta0[{k}]", source) for k, v in enumerate(beta0)]
     betas_raw = _require(raw, "betas", list, "betas", source)
     if len(betas_raw) != len(lags):
         raise ValidationError(
@@ -378,7 +378,9 @@ def parse_simulation_spec(raw: Mapping[str, Any], source=None):
             )
         times = step * np.arange(m + 1)
         if "values" in entry:
-            values = np.asarray(entry["values"], dtype=float)
+            at = f"betas[{j}].values"
+            values = _require(entry, "values", list, at, source)
+            values = np.array([json_value(v, float, f"{at}[{q}]", source) for q, v in enumerate(values)])
             if values.size != m + 1:
                 raise ValidationError(
                     f"kernel needs {m + 1} samples for lag {alpha!r}, got {values.size}",
@@ -386,7 +388,7 @@ def parse_simulation_spec(raw: Mapping[str, Any], source=None):
                     field=f"betas[{j}].values",
                 )
         elif "terms" in entry:
-            values = mode_family_values(entry["terms"], times)
+            values = mode_family_values(entry["terms"], times, f"betas[{j}].terms")
         else:
             raise ValidationError(
                 "kernel entry needs 'values' or 'terms'", source=source, field=f"betas[{j}]"
@@ -396,9 +398,9 @@ def parse_simulation_spec(raw: Mapping[str, Any], source=None):
     if not isinstance(noise_raw, Mapping):
         raise ValidationError("noise must be an object", source=source, field="noise")
     noise = NoiseSpec(
-        kind=str(noise_raw.get("kind", "white")),
-        sd=float(noise_raw.get("sd", 0.0)),
-        ar_coefficient=float(noise_raw.get("ar_coefficient", 0.0)),
+        kind=json_entry(noise_raw, "kind", str, "white", "noise", source),
+        sd=json_entry(noise_raw, "sd", float, 0.0, "noise", source),
+        ar_coefficient=json_entry(noise_raw, "ar_coefficient", float, 0.0, "noise", source),
     )
     beta_true = CoefficientSet(tuple(beta0), tuple(betas))
     return cov_specs, beta_true, noise, n, seed

@@ -97,6 +97,16 @@ def json_value(value, kind: type, key: str, source=None, field: str | None = Non
     )
 
 
+def json_entry(mapping: Mapping, key: str, kind: type, default, field: str, source=None):
+    """:func:`json_value` of ``mapping[key]``, or ``default`` when the key is absent.
+
+    Errors name the JSON path ``field.key``.
+    """
+    if key not in mapping:
+        return default
+    return json_value(mapping[key], kind, key, source, f"{field}.{key}")
+
+
 def reject_non_finite(value, source=None, field: str = "") -> None:
     """Raise :class:`ValidationError` at the first non-finite number in ``value``.
 

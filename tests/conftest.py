@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from fcmlab.designs import GeneratorSpec, NoiseSpec, gen_design
+from fcmlab.downsample import FlmDataset
+from fcmlab.estimator import CoefficientIndexMap
 from fcmlab.grids import GridFunction
-from fcmlab.model import CoefficientSet, Design, Observation
+from fcmlab.model import CoefficientSet, Design, Observation, delay_matrix
 
 
 @pytest.fixture
@@ -73,3 +75,48 @@ def unequal_design():
         xs = tuple(GridFunction(0.0, step, rng.standard_normal(n_pts)) for _ in range(2))
         observations.append(Observation(y, xs, (z,)))
     return Design(tuple(observations), (0.25, 0.5), step)
+
+
+# The dense reference. `assemble` and `flm_normal_equations` never form
+# regression rows; the tests compare them with the rows built here.
+
+
+def dense_rows(imap: CoefficientIndexMap, z, windows) -> np.ndarray:
+    """Regression rows ``[1, z, w * windows]`` in the layout of ``imap``.
+
+    ``z`` holds the scalar covariates (one row per regression row, or
+    one row for all); ``windows[j]`` is covariate ``j``'s delay matrix,
+    scaled here by the lag quadrature weights ``w``, so that
+    ``rows @ c`` is the prediction.
+    """
+    A = np.zeros((windows[0].shape[0], imap.size))
+    A[:, 0] = 1.0
+    A[:, 1 : imap.d + 1] = z
+    w = imap.lag_weights()
+    for j, H in enumerate(windows):
+        sl = imap.covariate_slice(j)
+        A[:, sl] = H * w[sl]
+    return A
+
+
+def observation_rows(design: Design, i: int, t_indices) -> tuple[np.ndarray, np.ndarray]:
+    """Dense rows of observation ``i`` at the grid indices ``t_indices``, and its responses there."""
+    imap = CoefficientIndexMap.from_design(design)
+    obs = design.observations[i]
+    t_indices = np.asarray(t_indices, dtype=int)
+    windows = [delay_matrix(xj.values, t_indices, s - 1) for xj, s in zip(obs.x, imap.sizes)]
+    return dense_rows(imap, obs.z, windows), obs.y.values[t_indices]
+
+
+def flm_windows(data: FlmDataset) -> tuple[np.ndarray, ...]:
+    """``windows[j][r]``: covariate ``j`` of row ``r`` reversed onto its lag grid."""
+    rows = [(segs, data.stride * np.arange(c)) for segs, c in zip(data.segments, data.counts)]
+    return tuple(
+        np.concatenate([delay_matrix(segs[j], L + r, L) for segs, r in rows])
+        for j, L in enumerate(size - 1 for size in data.index_map().sizes)
+    )
+
+
+def flm_rows(data: FlmDataset) -> np.ndarray:
+    """The dense row matrix ``A`` of the down-sampled regression."""
+    return dense_rows(data.index_map(), data.z, flm_windows(data))

@@ -449,7 +449,8 @@ class TestErrorReporting:
         code = main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "design")])
         err = single_error(capsys)
         assert code == 2
-        assert err["error"] == "ValueError"
+        assert err["error"] == "ValidationError"
+        assert err["field"] == "covariates[0].params.n_modes"
 
         # A non-object params entry is rejected by the spec parser.
         covariates = [{"kind": "filtered_noise", "params": [1]}]
@@ -547,6 +548,62 @@ class TestErrorReporting:
         assert code == 2
         assert err["field"] == field
         assert "expected an integer" in err["message"]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"beta0": [None, -0.3]}, "beta0[0]"),
+            ({"beta0": [True, -0.3]}, "beta0[0]"),
+            ({"betas": [{"values": [0.0, None, 1.0, 0.5, 0.0]}]}, "betas[0].values[1]"),
+            ({"betas": [{"values": [0.0, "1", 1.0, 0.5, 0.0]}]}, "betas[0].values[1]"),
+            ({"betas": [{"values": 3}]}, "betas[0].values"),
+            ({"betas": [{"terms": 3}]}, "betas[0].terms"),
+            ({"betas": [{"terms": [1.0]}]}, "betas[0].terms[0]"),
+            ({"betas": [{"terms": [{"c": None}]}]}, "betas[0].terms[0].c"),
+            ({"betas": [{"terms": [{"a": "0"}]}]}, "betas[0].terms[0].a"),
+            ({"betas": [{"terms": [{"m": 1.5}]}]}, "betas[0].terms[0].m"),
+            ({"betas": [{"terms": [{"m": True}]}]}, "betas[0].terms[0].m"),
+            ({"noise": {"kind": "white", "sd": None}}, "noise.sd"),
+            ({"noise": {"kind": "ar1", "sd": 0.1, "ar_coefficient": None}}, "noise.ar_coefficient"),
+            ({"noise": {"kind": 1, "sd": 0.1}}, "noise.kind"),
+            (
+                {"covariates": [{"kind": "filtered_noise", "params": {"n_modes": None}}]},
+                "covariates[0].params.n_modes",
+            ),
+            (
+                {"covariates": [{"kind": "filtered_noise", "params": {"n_modes": 2.7}}]},
+                "covariates[0].params.n_modes",
+            ),
+            (
+                {"covariates": [{"kind": "filtered_noise", "params": {"bandwidth": "0.1"}}]},
+                "covariates[0].params.bandwidth",
+            ),
+            (
+                {"covariates": [{"kind": "filtered_noise", "params": {"max_frequency": -1.0}}]},
+                "covariates[0].params.max_frequency",
+            ),
+            ({"covariates": [{"kind": "sinusoid_rich", "params": {"K": None}}]}, "covariates[0].params.K"),
+            (
+                {"covariates": [{"kind": "sinusoid_rich", "params": {"K": 2, "amplitudes": [1.0, None]}}]},
+                "covariates[0].params.amplitudes[1]",
+            ),
+            (
+                {"covariates": [{"kind": "self_similar", "params": {"terms": [{"m": 0.5}]}}]},
+                "covariates[0].params.terms[0].m",
+            ),
+        ],
+    )
+    def test_spec_entry_of_the_wrong_type_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, overrides, field
+    ):
+        spec = write_spec(tmp_path, **overrides)
+        out_dir = tmp_path / "design"
+        code = main(["simulate", "--spec", str(spec), "--out", str(out_dir)])
+        err = single_error(capsys)
+        assert code == 2
+        assert err["error"] == "ValidationError"
+        assert err["field"] == field
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("curve, entry", [("y.csv", "nan"), ("x00.csv", "inf")])

@@ -63,6 +63,24 @@ class TestGenCovariate:
         with pytest.raises(ValidationError):
             gen_covariate(GeneratorSpec("brownian", 1.0, 0.125))
 
+    @pytest.mark.parametrize(
+        "kind, params, field",
+        [
+            ("filtered_noise", {"n_modes": 2.7}, "params.n_modes"),
+            ("filtered_noise", {"n_modes": None}, "params.n_modes"),
+            ("filtered_noise", {"bandwidth": True}, "params.bandwidth"),
+            ("sinusoid_rich", {"K": 2, "amplitudes": (1.0, 0.5)}, "params.amplitudes"),
+            ("orthogonal_counterexample", {"K": "3"}, "params.K"),
+            ("self_similar", {"terms": [{"c": 1.0}, {"b": None}]}, "params.terms[1].b"),
+        ],
+    )
+    def test_parameter_that_is_not_a_json_number_rejected(self, kind, params, field):
+        # Parameters are JSON values: a real number is never truncated to
+        # an integer, and null never stands for a default.
+        with pytest.raises(ValidationError) as info:
+            gen_covariate(GeneratorSpec(kind, 2.0, 0.125, params=params))
+        assert info.value.field == field
+
 
 class TestModeFamilyValues:
     def test_single_term_closed_form(self):

@@ -14,6 +14,8 @@ from fcmlab.grids import GridFunction, quadrature_weights
 from fcmlab.identifiability import delay_embed
 from fcmlab.model import CoefficientSet, Design, Observation
 
+from conftest import flm_windows
+
 
 @pytest.fixture
 def flm_design():
@@ -65,18 +67,20 @@ class TestToFlm:
         x = design.observations[0].x[0].values
         row = 1
         t_idx = k0 + 4 * row
-        L = data.windows[0].shape[1]
-        assert np.array_equal(data.windows[0][row], x[t_idx - np.arange(L)])
+        windows = flm_windows(data)[0]
+        L = windows.shape[1]
+        assert np.array_equal(windows[row], x[t_idx - np.arange(L)])
 
     def test_unit_stride_windows_are_delay_embedding_rows(self, unequal_design):
         design = unequal_design
         data = to_flm(design, design.step)
         k0 = design.alpha_star_index()
+        windows = flm_windows(data)
         for i, obs in enumerate(design.observations):
             rows = data.obs_index == i
             for j, (L, alpha) in enumerate(zip(design.lag_lengths(), design.lags)):
                 H = delay_embed(obs.x[j], alpha)
-                assert np.array_equal(data.windows[j][rows], H[k0 - L :])
+                assert np.array_equal(windows[j][rows], H[k0 - L :])
 
     @pytest.mark.parametrize("stride", [1, 3, 16])
     def test_rows_hold_no_copy_of_a_covariate_sample(self, unequal_design, stride):
@@ -95,7 +99,7 @@ class TestToFlm:
 
     def test_derived_views_are_read_only(self, unequal_design):
         data = to_flm(unequal_design, 2 * unequal_design.step)
-        for a in (*data.windows, data.obs_index, data.l_index):
+        for a in (data.obs_index, data.l_index):
             assert not a.flags.writeable
         assert data.obs_index.tolist() == [0] * 13 + [1] * 17 + [2] * 9
         assert data.l_index.tolist() == [*range(13), *range(17), *range(9)]

@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 
 from fcmlab import estimator
 from fcmlab.designs import GeneratorSpec, NoiseSpec, gen_design
-from fcmlab.downsample import fit_flm, flm_normal_equations, to_flm
+from fcmlab.downsample import fit_flm, flm_normal_equations, flm_row_residuals, to_flm
 from fcmlab.errors import ConformalityError, NearSingularError
 from fcmlab.estimator import (
     CoefficientIndexMap,
     GramSystem,
     assemble,
     fit,
-    observation_rows,
     second_difference_operator,
     solve_direct,
     solve_penalized,
@@ -29,6 +28,8 @@ from fcmlab.model import (
     predict,
     sse,
 )
+
+from conftest import flm_rows, observation_rows
 
 
 def single_obs_design(x_values, step, alpha, y_values=None):
@@ -66,12 +67,16 @@ def dense_normal_equations(design):
 ASSEMBLY_RTOL = 1e-12
 
 
+def assert_close_to_dense(got, want):
+    assert np.max(np.abs(got - want)) <= ASSEMBLY_RTOL * np.max(np.abs(want))
+
+
 def assert_matches_dense(design):
     system = assemble(design)
     G, F = dense_normal_equations(design)
     assert np.array_equal(system.G, system.G.T)
-    assert np.max(np.abs(system.G - G)) <= ASSEMBLY_RTOL * np.max(np.abs(G))
-    assert np.max(np.abs(system.F - F)) <= ASSEMBLY_RTOL * np.max(np.abs(F))
+    assert_close_to_dense(system.G, G)
+    assert_close_to_dense(system.F, F)
 
 
 @st.composite
@@ -112,28 +117,26 @@ class TestAssemble:
     def test_matches_the_dense_rows_on_unequal_lengths(self, unequal_design):
         assert_matches_dense(unequal_design)
 
-    def test_forms_no_dense_rows(self, monkeypatch, noisy_design):
-        # The point of the structured assembly is that no observation's
-        # N x m row matrix exists; the dense builders stay as the reference.
-        design, _ = noisy_design
-        calls = []
-        rows = CoefficientIndexMap.rows
-        obs_rows = estimator.observation_rows
-
-        def counting_rows(*args, **kwargs):
-            calls.append("rows")
-            return rows(*args, **kwargs)
-
-        def counting_observation_rows(*args, **kwargs):
-            calls.append("observation_rows")
-            return obs_rows(*args, **kwargs)
-
-        monkeypatch.setattr(CoefficientIndexMap, "rows", counting_rows)
-        monkeypatch.setattr(estimator, "observation_rows", counting_observation_rows)
-        assemble(design)
-        assert calls == []
-        observation_rows(design, 0, np.arange(design.alpha_star_index(), 20))
-        assert calls == ["rows"]
+    @given(design=small_designs(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_down_sampled_rows_match_the_dense_rows(self, design, data):
+        # Strides up to L + 2 leave some observations a single row and
+        # take some strides past every lag window.
+        stride = data.draw(st.integers(1, design.alpha_star_index() + 2), label="stride")
+        flm = to_flm(design, stride * design.step)
+        system = flm_normal_equations(flm)
+        A = flm_rows(flm)
+        assert np.array_equal(system.G, system.G.T)
+        assert_close_to_dense(system.G, A.T @ A)
+        assert_close_to_dense(system.F, A.T @ flm.y)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        c = rng.standard_normal(system.size)
+        fitted = A @ c
+        got = flm_row_residuals(flm, system.index_map.unpack(c))
+        # The residual is the difference of its two terms; its rounding
+        # is a share of the larger of them.
+        scale = max(np.max(np.abs(flm.y)), np.max(np.abs(fitted)))
+        assert np.max(np.abs(got - (flm.y - fitted))) <= ASSEMBLY_RTOL * scale
 
     def test_zero_covariate_zeroes_the_block(self):
         design = single_obs_design(np.zeros(9), 0.25, 1.0)
