@@ -20,18 +20,17 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable
 
 from fcmlab import fileio
 from fcmlab.designs import gen_design
 from fcmlab.downsample import to_flm
 from fcmlab.errors import FcmlabError, NearSingularError, ValidationError
-from fcmlab.estimator import DEFAULT_PIVOT_TOL, DEFAULT_SVD_RTOL, fit
+from fcmlab.estimator import DEFAULT_SVD_RTOL, fit
 from fcmlab.experiments import EXPERIMENT_NAMES, run_all, run_experiment
 from fcmlab.identifiability import DEFAULT_RESIDUAL_TOL, diagnose
 from fcmlab.util import json_value
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["RunConfig", "main"]
 
 _SOLVERS = {"direct": "direct", "svd": "truncated_svd", "ridge": "ridge"}
 
@@ -47,7 +46,6 @@ class RunConfig:
     solver: str = "direct"
     lam: float = 0.0
     tol: float = DEFAULT_RESIDUAL_TOL
-    pivot_tol: float = DEFAULT_PIVOT_TOL
     svd_rel_tol: float = DEFAULT_SVD_RTOL
     seed: int | None = None
     U: float | None = None
@@ -69,8 +67,6 @@ class RunConfig:
             raise ValidationError("--lambda must be finite and nonnegative", field="lambda")
         if not 0.0 < self.tol < 1.0:
             raise ValidationError("--tol must lie in (0, 1)", field="tol")
-        if not 0.0 <= self.pivot_tol < 1.0:
-            raise ValidationError("--pivot-tol must lie in [0, 1)", field="pivot-tol")
         if not 0.0 < self.svd_rel_tol <= 1.0:
             raise ValidationError("--svd-tol must lie in (0, 1]", field="svd-tol")
         if self.U is not None and not (math.isfinite(self.U) and self.U > 0.0):
@@ -116,7 +112,6 @@ def _cmd_fit(config: RunConfig) -> int:
         design,
         solver=_SOLVERS[config.solver],
         lam=config.lam,
-        pivot_tol=config.pivot_tol,
         svd_rel_tol=config.svd_rel_tol,
         allow_rank_deficient=config.allow_rank_deficient,
     )
@@ -192,27 +187,6 @@ _COMMANDS = {
 }
 
 
-def _dispatch(config: RunConfig) -> int:
-    config.validate()
-    return _COMMANDS[config.command](config)
-
-
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
-    return _guarded(lambda: _dispatch(config))
-
-
-def _guarded(action: Callable[[], int]) -> int:
-    """Call ``action``; report a failure as one JSON error object and an exit code."""
-    try:
-        return action()
-    except (FcmlabError, ValueError, OSError) as exc:
-        _error_json(exc)
-        if isinstance(exc, NearSingularError):
-            return 3
-        return 1 if isinstance(exc, OSError) else 2
-
-
 def _error_json(exc: Exception) -> None:
     payload: dict = {"error": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, ValidationError):
@@ -228,8 +202,15 @@ def _error_json(exc: Exception) -> None:
     sys.stderr.write(json.dumps(payload, allow_nan=False) + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parse error of any command (subparsers inherit the class) is a :class:`ValidationError`."""
+
+    def error(self, message: str):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fcmlab",
         description="Convolution-model estimation and identifiability diagnostics "
         "on gridded functional data.",
@@ -251,8 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_path", help="output fit JSON")
     p.add_argument("--solver", choices=sorted(_SOLVERS), help="direct, svd, or ridge")
     p.add_argument("--lambda", dest="lam", type=float, help="ridge penalty weight")
-    p.add_argument("--pivot-tol", dest="pivot_tol", type=float, help="direct-solver rank guard")
-    p.add_argument("--svd-tol", dest="svd_rel_tol", type=float, help="relative truncation cutoff")
+    p.add_argument("--svd-tol", dest="svd_rel_tol", type=float, help="relative rank cut")
     p.add_argument(
         "--allow-rank-deficient",
         action="store_true",
@@ -319,8 +299,16 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    return _guarded(lambda: _dispatch(_resolve(args)))
+    """Run one command; report a failure as one JSON error object and an exit code."""
+    try:
+        config = _resolve(_build_parser().parse_args(argv))
+        config.validate()
+        return _COMMANDS[config.command](config)
+    except (FcmlabError, ValueError, OSError) as exc:
+        _error_json(exc)
+        if isinstance(exc, NearSingularError):
+            return 3
+        return 1 if isinstance(exc, OSError) else 2
 
 
 if __name__ == "__main__":

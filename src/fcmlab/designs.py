@@ -94,13 +94,13 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in ("white", "ar1"):
-            raise ValidationError(f"unknown noise kind {self.kind!r}", field="kind")
+            raise ValidationError(f"unknown noise kind {self.kind!r}", field="noise.kind")
         if self.sd < 0.0:
-            raise ValidationError("noise sd must be nonnegative", field="sd")
+            raise ValidationError("noise sd must be nonnegative", field="noise.sd")
         if self.kind == "ar1" and not -1.0 < self.ar_coefficient < 1.0:
             raise ValidationError(
                 "AR(1) coefficient must lie strictly inside (-1, 1)",
-                field="ar_coefficient",
+                field="noise.ar_coefficient",
             )
 
 

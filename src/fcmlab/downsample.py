@@ -18,7 +18,6 @@ import numpy as np
 
 from fcmlab.errors import GridError
 from fcmlab.estimator import (
-    DEFAULT_PIVOT_TOL,
     CoefficientIndexMap,
     GramSystem,
     _normal_equations,
@@ -141,11 +140,7 @@ def flm_row_residuals(data: FlmDataset, coef: CoefficientSet) -> np.ndarray:
     return data.y - (c[0] + data.z @ c[1 : imap.d + 1] + np.concatenate(conv))
 
 
-def fit_flm(
-    data: FlmDataset,
-    lam: float = 0.0,
-    pivot_tol: float = DEFAULT_PIVOT_TOL,
-) -> CoefficientSet:
+def fit_flm(data: FlmDataset, lam: float = 0.0) -> CoefficientSet:
     """Least-squares fit of the down-sampled rows.
 
     Minimizes the sum of squared row residuals plus ``lam`` times the
@@ -155,5 +150,5 @@ def fit_flm(
     """
     system = flm_normal_equations(data)
     if float(lam) == 0.0:
-        return solve_direct(system, pivot_tol)
+        return solve_direct(system)
     return solve_penalized(system, lam)

@@ -14,8 +14,7 @@ covariate; :class:`CoefficientIndexMap` owns that layout.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -36,11 +35,9 @@ __all__ = [
     "solve_penalized",
     "second_difference_operator",
     "fit",
-    "DEFAULT_PIVOT_TOL",
     "DEFAULT_SVD_RTOL",
 ]
 
-DEFAULT_PIVOT_TOL = 1e-12
 DEFAULT_SVD_RTOL = 1e-10
 
 
@@ -120,8 +117,8 @@ class GramSystem:
 
     ``weights`` holds the discrete L2 weight of each coefficient entry
     (1 for intercept and scalars, trapezoid weights along each lag
-    grid); rank decisions and minimum-norm conventions are taken in
-    this weighted geometry.
+    grid); rank decisions, reported eigenvalues and minimum-norm
+    conventions are taken in this weighted geometry.
     """
 
     G: np.ndarray
@@ -146,21 +143,26 @@ class GramSystem:
     def size(self) -> int:
         return self.index_map.size
 
-    def weighted_eigh(self, block: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def weighted_eigh(self, block: slice = slice(None), vectors: bool = True) -> tuple:
         """Eigendecompose ``G[block, block] / outer(S, S)``, ``S = sqrt(weights[block])``.
 
-        Returns the ascending eigenvalues, the eigenvectors and ``S``; an
-        eigenvector divided by ``S`` is a coefficient direction.
+        Returns the ascending eigenvalues, the eigenvectors (None unless
+        ``vectors``) and ``S``; an eigenvector divided by ``S`` is a
+        coefficient direction.
         """
         S = np.sqrt(self.weights[block])
-        evals, vecs = scipy.linalg.eigh(self.G[block, block] / np.outer(S, S))
-        return evals, vecs, S
+        out = scipy.linalg.eigh(self.G[block, block] / np.outer(S, S), eigvals_only=not vectors)
+        return (*out, S) if vectors else (out, None, S)
 
-    @cached_property
-    def extremes(self) -> tuple[float, float]:
-        """Smallest and largest eigenvalue of the unweighted ``G``, computed once."""
-        evals = scipy.linalg.eigh(self.G, eigvals_only=True)
-        return float(evals[0]), float(evals[-1])
+    def spectrum(self, vectors: bool = False) -> tuple:
+        """:meth:`weighted_eigh` of all of ``G``, kept for every rank cut and reported eigenvalue.
+
+        A decomposition with vectors also answers later calls for values only.
+        """
+        cached = self.__dict__.get("_spectrum")
+        if cached is None or (vectors and cached[1] is None):
+            cached = self.__dict__["_spectrum"] = self.weighted_eigh(vectors=vectors)
+        return cached
 
 
 def assemble(design: Design) -> GramSystem:
@@ -264,23 +266,21 @@ def _normal_equations(
     return GramSystem(G, F, imap, w)
 
 
-def solve_direct(system: GramSystem, pivot_tol: float = DEFAULT_PIVOT_TOL) -> CoefficientSet:
+def solve_direct(system: GramSystem, rel_tol: float = DEFAULT_SVD_RTOL) -> CoefficientSet:
     """Solve ``G c = F`` by a symmetric positive-definite factorization.
 
-    Raises :class:`NearSingularError` carrying the extreme eigenvalues
-    when the smallest eigenvalue of ``G`` does not clear ``pivot_tol``
-    times the largest; rank-deficient systems should go through
-    :func:`solve_truncated_svd` or :func:`solve_penalized` instead.
-    A guard that passes can still leave a system the factorization
-    finds ill-conditioned; that raises :class:`NearSingularError` too.
-    ``pivot_tol`` must lie in ``[0, 1)``.
+    Raises :class:`NearSingularError` carrying the extreme weighted
+    eigenvalues exactly when :func:`solve_truncated_svd` at the same
+    ``rel_tol`` would drop a mode; rank-deficient systems should go
+    through :func:`solve_truncated_svd` or :func:`solve_penalized`
+    instead. A guard that passes can still leave a system the
+    factorization finds ill-conditioned; that raises
+    :class:`NearSingularError` too.
     """
-    if not 0.0 <= pivot_tol < 1.0:
-        raise ValueError(f"pivot_tol must lie in [0, 1), got {pivot_tol!r}")
-    min_eig, max_eig = system.extremes
-    if max_eig <= 0.0 or min_eig <= pivot_tol * max_eig:
-        raise NearSingularError(min_eig, max_eig)
-    return system.index_map.unpack(_solve_or_raise(system.G, system.F, "pos"))
+    evals = system.spectrum()[0]
+    if numerical_rank(evals, rel_tol) < system.size:
+        raise NearSingularError(evals[0], evals[-1])
+    return system.index_map.unpack(_solve_or_raise(system, "pos"))
 
 
 def solve_truncated_svd(
@@ -295,9 +295,7 @@ def solve_truncated_svd(
     component along the discarded directions in the weighted inner
     product. Returns the solution and the number of retained modes.
     """
-    if not 0.0 < rel_tol <= 1.0:
-        raise ValueError(f"rel_tol must lie in (0, 1], got {rel_tol!r}")
-    evals, vecs, S = system.weighted_eigh(slice(None))
+    evals, vecs, S = system.spectrum(vectors=True)
     rank = numerical_rank(evals, rel_tol)
     keep = slice(evals.size - rank, None)
     V = vecs[:, keep]
@@ -333,30 +331,30 @@ def solve_penalized(system: GramSystem, lam: float) -> CoefficientSet:
     leaving intercept and scalar coefficients unpenalized, so large
     ``lam`` drives the kernels toward straight lines. When the solve
     finds ``G + lam * D'D`` singular or ill-conditioned, raises
-    :class:`NearSingularError` carrying its extreme eigenvalues instead
-    of returning the solution.
+    :class:`NearSingularError` carrying its extreme weighted eigenvalues
+    instead of returning the solution.
     """
     lam = float(lam)
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ValueError(f"penalty weight must be finite and nonnegative, got {lam!r}")
     D = second_difference_operator(system.index_map)
-    A = system.G + lam * (D.T @ D)
-    return system.index_map.unpack(_solve_or_raise(A, system.F, "sym"))
+    penalized = replace(system, G=system.G + lam * (D.T @ D))
+    return system.index_map.unpack(_solve_or_raise(penalized, "sym"))
 
 
-def _solve_or_raise(A: np.ndarray, F: np.ndarray, assume_a: str) -> np.ndarray:
-    """``scipy.linalg.solve(A, F)``, with singular or ill-conditioned ``A`` an error.
+def _solve_or_raise(system: GramSystem, assume_a: str) -> np.ndarray:
+    """``scipy.linalg.solve(G, F)``, with singular or ill-conditioned ``G`` an error.
 
     scipy's ill-conditioning warning and its singular-matrix error both
     become :class:`NearSingularError` carrying the extreme eigenvalues
-    of ``A``, which are computed only on that path.
+    of the system's :meth:`GramSystem.spectrum`.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
         try:
-            return scipy.linalg.solve(A, F, assume_a=assume_a)
+            return scipy.linalg.solve(system.G, system.F, assume_a=assume_a)
         except (scipy.linalg.LinAlgWarning, scipy.linalg.LinAlgError):
-            evals = scipy.linalg.eigh(A, eigvals_only=True)
+            evals = system.spectrum()[0]
             raise NearSingularError(evals[0], evals[-1]) from None
 
 
@@ -366,8 +364,9 @@ class FitResult:
 
     ``solver_used`` is one of ``"direct"``, ``"truncated_svd"``,
     ``"ridge"``; ``truncation_rank`` is the retained mode count for the
-    truncated solver and None otherwise. ``gram_condition`` is the
-    eigenvalue ratio of the full normal matrix (infinite when the
+    truncated solver and None otherwise. The eigenvalues are the
+    extremes of :meth:`GramSystem.spectrum`, the weighted full normal
+    matrix; ``gram_condition`` is their ratio (infinite when the
     smallest eigenvalue is nonpositive).
     """
 
@@ -384,23 +383,21 @@ def fit(
     design: Design,
     solver: str = "direct",
     lam: float = 0.0,
-    pivot_tol: float = DEFAULT_PIVOT_TOL,
     svd_rel_tol: float = DEFAULT_SVD_RTOL,
     allow_rank_deficient: bool = False,
 ) -> FitResult:
     """Assemble the normal equations and solve them with one solver.
 
     ``solver`` is ``"direct"``, ``"truncated_svd"``, or ``"ridge"``
-    (``lam`` applies to the ridge path only). ``allow_rank_deficient``
-    turns a :class:`NearSingularError` into a truncated solve of the same system.
+    (``lam`` applies to the ridge path only); ``svd_rel_tol`` is the
+    rank cut of the first two. ``allow_rank_deficient`` turns a
+    :class:`NearSingularError` into a truncated solve of the same system.
     """
     system = assemble(design)
-    min_eig, max_eig = system.extremes
-    cond = float("inf") if min_eig <= 0.0 else max_eig / min_eig
     truncation_rank: int | None = None
     try:
         if solver == "direct":
-            coef = solve_direct(system, pivot_tol)
+            coef = solve_direct(system, svd_rel_tol)
         elif solver == "ridge":
             coef = solve_penalized(system, lam)
         elif solver != "truncated_svd":
@@ -411,12 +408,13 @@ def fit(
         solver = "truncated_svd"
     if solver == "truncated_svd":
         coef, truncation_rank = solve_truncated_svd(system, rel_tol=svd_rel_tol)
+    min_eig, max_eig = system.spectrum()[0][[0, -1]].tolist()
     return FitResult(
         coef=coef,
         sse_value=model_mod.sse(design, coef),
         gram_min_eigenvalue=min_eig,
         gram_max_eigenvalue=max_eig,
-        gram_condition=cond,
+        gram_condition=float("inf") if min_eig <= 0.0 else max_eig / min_eig,
         solver_used=solver,
         truncation_rank=truncation_rank,
     )

@@ -29,8 +29,9 @@ checks with measured margins:
     Delay-embedding rank and Gram-block rank agree exactly at matched
     tolerances across the mode-family test set.
 ``downsample-match``
-    At stride one on a noiseless full-rank design, the down-sampled
-    row regression reproduces the full estimator.
+    On a noiseless full-rank design, the down-sampled row regression
+    reproduces the full estimator at stride one and the generating
+    coefficients at stride two.
 ``solver-agreement``
     All solvers coincide on full-rank systems; on rank-deficient
     systems the truncated and small-ridge paths reach the same
@@ -290,7 +291,7 @@ def _exp_gram_positivity() -> ExperimentResult:
         system = assemble(design)
         imap = system.index_map
         blk = imap.covariate_block
-        lam_max = float(gram_spectrum(system).eigenvalues[0])
+        lam_max = float(gram_spectrum(system, DEFAULT_RESIDUAL_TOL).eigenvalues[0])
         for _ in range(200):
             v = np.zeros(imap.size)
             v[blk] = rng.standard_normal(blk.stop - blk.start)
@@ -619,11 +620,10 @@ def _exp_downsample_match() -> ExperimentResult:
     flm_coef = fit_flm(data)
     full = fit(design, solver="direct")
     system = assemble(design)
-    rel = _weighted_rel_dist(
-        system.weights,
-        system.index_map.pack(full.coef),
-        system.index_map.pack(flm_coef),
-    )
+    imap = system.index_map
+    rel = _weighted_rel_dist(system.weights, imap.pack(full.coef), imap.pack(flm_coef))
+    stride_two = fit_flm(to_flm(design, 2.0 * design.step))
+    rel_two = _weighted_rel_dist(system.weights, imap.pack(beta_true), imap.pack(stride_two))
     return ExperimentResult(
         "downsample-match",
         (
@@ -636,6 +636,11 @@ def _exp_downsample_match() -> ExperimentResult:
                 "stride-one rows reproduce the full estimator",
                 rel <= 1e-6,
                 f"relative coefficient distance {rel:.3e}, tol 1e-6",
+            ),
+            _check(
+                "stride-two rows reproduce the generating coefficients",
+                rel_two <= 1e-10,
+                f"relative coefficient distance {rel_two:.3e}, tol 1e-10",
             ),
         ),
     )

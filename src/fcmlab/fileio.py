@@ -2,10 +2,11 @@
 
 A design lives on disk as a JSON manifest naming one CSV per curve
 (paths relative to the manifest) with scalar covariates inline. Every
-JSON artifact carries a ``format_version`` field. All writers are
-atomic, through :func:`fcmlab.util.atomic_write`: content goes to a
-temporary file in the destination directory and is renamed into place,
-so readers never observe partial output. Every CSV but the row export
+JSON file carries a ``format_version``: :data:`FORMAT_VERSION` for
+inputs (manifests, specs), :data:`ARTIFACT_VERSION` for results. All
+writers are atomic, through :func:`fcmlab.util.atomic_write`: content
+goes to a temporary file in the destination directory and is renamed
+into place, so readers never observe partial output. Every CSV but the row export
 goes through :func:`fcmlab.util.write_csv`, which streams its rows in
 blocks; :func:`write_flm_csv` streams the same bytes but formats each
 observation's segment of each covariate curve once and cuts every row's
@@ -38,6 +39,7 @@ from fcmlab.util import (
 
 __all__ = [
     "FORMAT_VERSION",
+    "ARTIFACT_VERSION",
     "write_design",
     "read_design",
     "coefficients_to_dict",
@@ -56,6 +58,7 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+ARTIFACT_VERSION = 2  # 2: fit.json's eigenvalues are of the weighted normal matrix
 
 
 def _write_json(path, payload: Mapping[str, Any]) -> None:
@@ -173,7 +176,7 @@ def coefficients_from_dict(raw: Mapping[str, Any], source=None) -> CoefficientSe
 
 def write_truth(path, coef: CoefficientSet, simulation: Mapping[str, Any] | None = None) -> None:
     payload: dict[str, Any] = {
-        "format_version": FORMAT_VERSION,
+        "format_version": ARTIFACT_VERSION,
         "beta_true": coefficients_to_dict(coef),
     }
     if simulation is not None:
@@ -194,7 +197,7 @@ def fit_payload(result: FitResult) -> dict[str, Any]:
     """
     cond = result.gram_condition
     return {
-        "format_version": FORMAT_VERSION,
+        "format_version": ARTIFACT_VERSION,
         "solver_used": result.solver_used,
         "sse": result.sse_value,
         "gram_min_eigenvalue": result.gram_min_eigenvalue,
@@ -239,7 +242,7 @@ def diagnosis_payload(report: DiagnosisReport) -> dict[str, Any]:
                 }
             )
     return {
-        "format_version": FORMAT_VERSION,
+        "format_version": ARTIFACT_VERSION,
         "tol": report.tol,
         "verdict": "identifiable" if report.identifiable else "non-identifiable",
         "numerical_rank": report.spectrum.numerical_rank,
@@ -317,8 +320,17 @@ def parse_simulation_spec(raw: Mapping[str, Any], source=None):
     Returns ``(cov_specs, beta_true, noise, n, seed)`` ready for
     :func:`fcmlab.designs.gen_design`. Lag kernels are given either as
     inline ``values`` arrays or as mode-family ``terms`` evaluated on
-    the lag grid.
+    the lag grid. Every :class:`ValidationError` names ``source``.
     """
+    try:
+        return _parse_simulation_spec(raw, source)
+    except ValidationError as exc:
+        if exc.source is None:
+            exc.source = source
+        raise
+
+
+def _parse_simulation_spec(raw: Mapping[str, Any], source):
     if not isinstance(raw, Mapping):
         raise ValidationError("simulation spec must be a JSON object", source=source)
     reject_non_finite(raw, source)

@@ -42,11 +42,9 @@ __all__ = [
     "recurrence_modes",
     "self_similarity_residual",
     "diagnose",
-    "DEFAULT_SPECTRUM_TOL",
     "DEFAULT_RESIDUAL_TOL",
 ]
 
-DEFAULT_SPECTRUM_TOL = 1e-10
 DEFAULT_RESIDUAL_TOL = 1e-8
 
 # Recurrence roots closer than this are merged into one repeated mode.
@@ -98,7 +96,7 @@ class SpectrumReport:
         return self.numerical_rank == self.block_size
 
 
-def gram_spectrum(system: GramSystem, tol: float = DEFAULT_SPECTRUM_TOL) -> SpectrumReport:
+def gram_spectrum(system: GramSystem, tol: float) -> SpectrumReport:
     """Eigendecompose the covariate block of ``G`` in weighted form.
 
     The block is symmetrized by the square roots of the lag quadrature
@@ -106,14 +104,10 @@ def gram_spectrum(system: GramSystem, tol: float = DEFAULT_SPECTRUM_TOL) -> Spec
     continuous Gram operator's spectrum and eigenvectors map back to
     kernel directions orthonormal in the discrete L2 inner product.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     imap = system.index_map
     blk = imap.covariate_block
     evals, vecs, S = system.weighted_eigh(blk)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    vecs = vecs[:, order]
+    evals, vecs = evals[::-1], vecs[:, ::-1]
     rank = numerical_rank(evals, tol)
     basis = []
     for k in range(rank, evals.size):

@@ -127,8 +127,11 @@ def numerical_rank(values: np.ndarray, tol: float) -> int:
     """Count entries of a spectrum at or above ``tol`` times its max.
 
     ``values`` may arrive in any order. Negative entries never count,
-    and a spectrum whose largest entry is nonpositive has rank 0.
+    and a spectrum whose largest entry is nonpositive has rank 0. The
+    relative cut ``tol`` must lie in ``(0, 1]``.
     """
+    if not 0.0 < tol <= 1.0:
+        raise ValueError(f"rank tolerance must lie in (0, 1], got {tol!r}")
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return 0

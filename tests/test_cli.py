@@ -5,16 +5,21 @@ merging, exit codes, and the stdout/stderr JSON contracts are all
 exercised exactly as a shell user would hit them.
 """
 
+import argparse
 import json
 import os
+import re
 import stat
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from fcmlab.cli import main
+from fcmlab.cli import _CONFIG_FIELDS, _build_parser, main
+from fcmlab.estimator import assemble
 from fcmlab.experiments import EXPERIMENT_NAMES
+from fcmlab.fileio import read_design
 
 
 def base_spec(**overrides):
@@ -291,6 +296,22 @@ class TestRankDeficientExit:
             assert strict_json(captured.out)["solver_used"] == "truncated_svd"
 
 
+class TestFitExtremes:
+    @pytest.mark.parametrize("solver", ["direct", "svd", "ridge"])
+    def test_extremes_are_the_ends_of_the_weighted_spectrum(self, tmp_path, capsys, solver):
+        manifest = simulate(tmp_path, capsys)
+        fit_path = tmp_path / "fit.json"
+        args = ["--design", str(manifest), "--out", str(fit_path), "--solver", solver]
+        assert main(["fit", *args, "--lambda", "1e-6"]) == 0
+        payload = json.loads(fit_path.read_text())
+        system = assemble(read_design(manifest))
+        S = np.sqrt(system.weights)
+        evals = scipy.linalg.eigvalsh(system.G / np.outer(S, S))
+        assert payload["gram_min_eigenvalue"] == pytest.approx(evals[0], rel=1e-9)
+        assert payload["gram_max_eigenvalue"] == pytest.approx(evals[-1], rel=1e-12)
+        assert payload["gram_condition"] == pytest.approx(evals[-1] / evals[0], rel=1e-9)
+
+
 class TestToleranceFlags:
     def test_svd_tol_one_keeps_a_single_mode(self, tmp_path, capsys):
         manifest = simulate(tmp_path, capsys)
@@ -300,13 +321,13 @@ class TestToleranceFlags:
         assert code == 0
         assert json.loads(fit_path.read_text())["truncation_rank"] == 1
 
-    def test_pivot_tol_refuses_a_full_rank_design(self, tmp_path, capsys):
-        # The same design fits with the default guard
+    def test_svd_tol_refuses_a_full_rank_design(self, tmp_path, capsys):
+        # The same design fits with the default cut
         # (test_fit_recovers_simulated_truth).
         manifest = simulate(tmp_path, capsys)
         fit_path = tmp_path / "fit.json"
         args = ["--design", str(manifest), "--out", str(fit_path)]
-        code = main(["fit", *args, "--pivot-tol", "0.5"])
+        code = main(["fit", *args, "--solver", "direct", "--svd-tol", "0.5"])
         err = single_error(capsys)
         assert code == 3
         assert err["error"] == "NearSingularError"
@@ -315,9 +336,6 @@ class TestToleranceFlags:
     @pytest.mark.parametrize(
         "flags, field",
         [
-            (["--pivot-tol", "nan"], "pivot-tol"),
-            (["--pivot-tol", "-1"], "pivot-tol"),
-            (["--pivot-tol", "1"], "pivot-tol"),
             (["--svd-tol", "nan"], "svd-tol"),
             (["--svd-tol", "0"], "svd-tol"),
             (["--svd-tol", "1.5"], "svd-tol"),
@@ -326,8 +344,8 @@ class TestToleranceFlags:
         ],
     )
     def test_out_of_range_solver_flag_exits_2(self, tmp_path, capsys, flags, field):
-        # On this rank-deficient design a guard switched off by a NaN or
-        # negative --pivot-tol would end in scipy's singular-matrix error.
+        # On this rank-deficient design a rank cut switched off by a NaN
+        # --svd-tol would end in scipy's singular-matrix error.
         manifest = simulate(tmp_path, capsys, **deficient_overrides())
         fit_path = tmp_path / "fit.json"
         code = main(["fit", "--design", str(manifest), "--out", str(fit_path), *flags])
@@ -418,6 +436,42 @@ class TestConfigFile:
         assert code == 2
         assert err["error"] == "ValidationError"
         assert err["field"] == key
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--bogus", "1"],
+            ["fit", "--svd-tol", "abc"],
+            ["fit", "--pivot-tol", "1e-12"],
+            ["fit", "--solver", "cholesky"],
+            [],
+        ],
+    )
+    def test_parser_error_is_one_json_object_and_exit_2(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert strict_json(lines[0])["error"] == "ValidationError"
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--help"])
+        assert exc.value.code == 0
+        assert "--svd-tol" in capsys.readouterr().out
+
+    def test_removed_pivot_tol_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pivot_tol": 1e-12}))
+        code = main(["fit", "--config", str(cfg)])
+        err = single_error(capsys)
+        assert code == 2
+        assert err["error"] == "ValidationError"
+        assert err["field"] == "pivot_tol"
 
 
 class TestErrorReporting:
@@ -592,6 +646,9 @@ class TestErrorReporting:
                 {"covariates": [{"kind": "self_similar", "params": {"terms": [{"m": 0.5}]}}]},
                 "covariates[0].params.terms[0].m",
             ),
+            ({"noise": {"kind": "white", "sd": -1.0}}, "noise.sd"),
+            ({"noise": {"kind": "ar1", "sd": 0.1, "ar_coefficient": 1.5}}, "noise.ar_coefficient"),
+            ({"covariates": [{"kind": "sinusoid_rich", "params": {"K": 0}}]}, "covariates[0].params.K"),
         ],
     )
     def test_spec_entry_of_the_wrong_type_exits_2_and_writes_nothing(
@@ -604,6 +661,7 @@ class TestErrorReporting:
         assert code == 2
         assert err["error"] == "ValidationError"
         assert err["field"] == field
+        assert err["source"] == str(spec)
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("curve, entry", [("y.csv", "nan"), ("x00.csv", "inf")])
@@ -696,3 +754,30 @@ class TestReproduceCommand:
         err = json.loads(capsys.readouterr().err)
         assert code == 2
         assert err["field"] == "name"
+
+
+class TestReadme:
+    """The README documents exactly the options the command line has."""
+
+    README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+    def commands(self):
+        (sub,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        return sub.choices
+
+    def flags(self, command):
+        return {f for a in self.commands()[command]._actions for f in a.option_strings if f.startswith("--")}
+
+    def test_config_key_list_is_the_config_fields(self):
+        start = self.README.index("keyed by option name")
+        listed = re.findall(r"`([A-Za-z_]+)`", self.README[start : self.README.index("Each value must", start)])
+        assert sorted(listed) == sorted(_CONFIG_FIELDS)
+
+    def test_every_fit_and_diagnose_flag_is_documented(self):
+        missing = {f for c in ("fit", "diagnose") for f in self.flags(c) - {"--help"} if f not in self.README}
+        assert missing == set()
+
+    def test_every_documented_flag_exists(self):
+        known = set().union(*(self.flags(c) for c in self.commands()))
+        cli_docs = self.README[self.README.index("## Command line") :]
+        assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", cli_docs)) - known == set()

@@ -45,6 +45,12 @@ def weighted_rel_dist(weights, a, b):
     return num / den
 
 
+def weighted_eigvalsh(system):
+    """Ascending eigenvalues of ``G / outer(S, S)``, ``S = sqrt(weights)``, computed here."""
+    S = np.sqrt(system.weights)
+    return scipy.linalg.eigvalsh(system.G / np.outer(S, S))
+
+
 def dense_normal_equations(design):
     """Reference ``sum_i A_i' W_i A_i`` and ``sum_i A_i' W_i y_i`` from the dense rows."""
     imap = CoefficientIndexMap.from_design(design)
@@ -231,21 +237,33 @@ class TestSolveDirect:
         assert np.allclose(imap.pack(coef), target, atol=1e-13)
 
     def test_ill_conditioned_system_raises_past_the_guard(self):
-        # pivot_tol = 0 lets the eigenvalue guard pass; the factorization
-        # then finds rcond = 1e-17, and a solution of that system would
-        # be a huge-norm kernel.
+        # A cut of 1e-18 lets the eigenvalue guard pass; the
+        # factorization then finds rcond = 1e-17, and a solution of that
+        # system would be a huge-norm kernel.
         imap = CoefficientIndexMap.from_parts(0, (0.5,), 0.25)
         evals = np.array([1e-17, 1e-3, 0.1, 1.0])
         system = GramSystem(G=np.diag(evals), F=np.ones(4), index_map=imap, weights=np.ones(4))
         with pytest.raises(NearSingularError) as exc:
-            solve_direct(system, pivot_tol=0.0)
+            solve_direct(system, rel_tol=1e-18)
         assert (exc.value.min_eig, exc.value.max_eig) == (evals[0], evals[-1])
 
-    @pytest.mark.parametrize("pivot_tol", [np.nan, np.inf, -1.0, 1.0])
-    def test_pivot_tol_outside_the_unit_interval_rejected(self, noisy_design, pivot_tol):
+    @pytest.mark.parametrize("rel_tol", [np.nan, np.inf, -1.0, 0.0, 1.5])
+    def test_rel_tol_outside_the_unit_interval_rejected(self, noisy_design, rel_tol):
         design, _ = noisy_design
         with pytest.raises(ValueError):
-            solve_direct(assemble(design), pivot_tol)
+            solve_direct(assemble(design), rel_tol)
+
+    @given(design=small_designs(), rel_tol=st.sampled_from([1e-10, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.5]))
+    @settings(max_examples=200, deadline=None)
+    def test_refuses_exactly_when_truncation_drops_a_mode(self, design, rel_tol):
+        system = assemble(design)
+        _, rank = solve_truncated_svd(system, rel_tol)
+        try:
+            solve_direct(system, rel_tol)
+        except NearSingularError:
+            assert rank < system.size
+        else:
+            assert rank == system.size
 
     def test_error_carries_eigenvalues(self, deficient_design):
         design, _ = deficient_design
@@ -326,7 +344,7 @@ class TestSolvePenalized:
         system = assemble(design)
         with pytest.raises(NearSingularError) as exc:
             solve_penalized(system, 0.0)
-        evals = scipy.linalg.eigvalsh(system.G)
+        evals = weighted_eigvalsh(system)
         assert exc.value.min_eig == pytest.approx(evals[0], abs=1e-12 * evals[-1])
         assert exc.value.max_eig == pytest.approx(evals[-1], rel=1e-12)
 
@@ -402,8 +420,7 @@ class TestFit:
     def test_condition_number_reported(self, noisy_design):
         design, _ = noisy_design
         result = fit(design, solver="direct")
-        G = assemble(design).G
-        evals = scipy.linalg.eigh(G, eigvals_only=True)
+        evals = weighted_eigvalsh(assemble(design))
         assert result.gram_condition == pytest.approx(evals[-1] / evals[0], rel=1e-9)
 
     def test_unknown_solver_rejected(self, noisy_design):
@@ -413,15 +430,11 @@ class TestFit:
 
 
 class TestOneSolvePath:
-    @pytest.mark.parametrize(
-        "solver, expected", [("direct", 1), ("ridge", 1), ("truncated_svd", 2)]
-    )
-    def test_fit_decomposes_the_gram_matrix_once_per_need(
-        self, monkeypatch, noisy_design, solver, expected
-    ):
-        # The extremes come from one cached eigh shared by fit and the
-        # direct guard; only the truncated solver needs its own
-        # weighted eigendecomposition.
+    @pytest.mark.parametrize("solver", ["direct", "ridge", "truncated_svd"])
+    def test_fit_decomposes_the_gram_matrix_once(self, monkeypatch, noisy_design, solver):
+        # The guard, the reported extremes and the truncated solution all
+        # read one cached weighted eigendecomposition; only the truncated
+        # solver asks it for vectors.
         design, _ = noisy_design
         calls = []
         eigh = scipy.linalg.eigh
@@ -432,11 +445,11 @@ class TestOneSolvePath:
 
         monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
         fit(design, solver=solver, lam=1e-6)
-        assert len(calls) == expected
+        assert calls == [solver != "truncated_svd"]
 
     def test_rank_deficient_fallback_reuses_the_assembled_system(self, monkeypatch, deficient_design):
-        # The direct guard refuses on the cached extremes; the truncated
-        # solver then needs only its weighted eigendecomposition.
+        # The direct guard refuses on the cached eigenvalues; the
+        # truncated solver then adds the eigenvectors.
         design, _ = deficient_design
         calls = {"assemble": 0, "eigh": 0}
         real_assemble, real_eigh = estimator.assemble, scipy.linalg.eigh

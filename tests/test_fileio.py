@@ -193,6 +193,7 @@ class TestCoefficientsRoundTrip:
         back = fileio.read_truth(path)
         assert back.beta0 == truth.beta0
         assert np.array_equal(back.betas[0].values, truth.betas[0].values)
+        assert json.loads(path.read_text())["format_version"] == fileio.ARTIFACT_VERSION
 
 
 class TestAtomicWrite:
@@ -226,7 +227,7 @@ class TestPayloads:
     def test_fit_payload_fields(self, noisy_design):
         design, _ = noisy_design
         payload = fileio.fit_payload(fit(design, solver="direct"))
-        assert payload["format_version"] == fileio.FORMAT_VERSION
+        assert payload["format_version"] == fileio.ARTIFACT_VERSION
         assert payload["solver_used"] == "direct"
         assert payload["sse"] >= 0.0
         assert "coefficients" in payload
@@ -234,7 +235,9 @@ class TestPayloads:
     def test_diagnosis_payload_verdict(self, noisy_design, deficient_design):
         good, _ = noisy_design
         bad, _ = deficient_design
-        assert fileio.diagnosis_payload(diagnose(good))["verdict"] == "identifiable"
+        payload = fileio.diagnosis_payload(diagnose(good))
+        assert payload["format_version"] == fileio.ARTIFACT_VERSION
+        assert payload["verdict"] == "identifiable"
         assert fileio.diagnosis_payload(diagnose(bad))["verdict"] == "non-identifiable"
 
     def test_spectrum_csv_header(self, tmp_path):
