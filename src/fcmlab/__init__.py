@@ -31,13 +31,12 @@ from fcmlab.identifiability import (
     Mode,
     SelfSimilarityReport,
     SpectrumReport,
-    certify_direction,
     diagnose,
     gram_spectrum,
     quadratic_form,
     self_similarity_residual,
 )
-from fcmlab.model import CoefficientSet, Design, Observation, lag_convolve, predict, sse
+from fcmlab.model import CoefficientSet, Design, Observation, predict, sse
 
 __version__ = "0.1.0"
 
@@ -49,7 +48,6 @@ __all__ = [
     "Observation",
     "Design",
     "CoefficientSet",
-    "lag_convolve",
     "predict",
     "sse",
     "GramSystem",
@@ -62,7 +60,6 @@ __all__ = [
     "Mode",
     "quadratic_form",
     "gram_spectrum",
-    "certify_direction",
     "self_similarity_residual",
     "diagnose",
     "GeneratorSpec",

@@ -32,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from fcmlab.errors import ValidationError
+from fcmlab.errors import GridError, ValidationError
 from fcmlab.grids import GridFunction, snap_to_index
 from fcmlab.model import CoefficientSet, Design, Observation, _lag_sum
 from fcmlab.util import json_entry, json_value
@@ -76,8 +76,14 @@ class GeneratorSpec:
                 f"unknown covariate kind {self.kind!r}, expected one of {GENERATOR_KINDS}",
                 field="kind",
             )
-        if float(self.T) <= 0.0 or float(self.step) <= 0.0:
-            raise ValidationError("T and step must be positive", field="T")
+        if float(self.step) <= 0.0:
+            raise ValidationError("step must be positive", field="step")
+        if float(self.T) <= 0.0:
+            raise ValidationError("T must be positive", field="T")
+        try:
+            snap_to_index(float(self.T) / float(self.step), what=f"domain length {self.T!r}")
+        except GridError as exc:
+            raise ValidationError(str(exc), field="T") from None
         object.__setattr__(self, "T", float(self.T))
         object.__setattr__(self, "step", float(self.step))
         object.__setattr__(self, "seed", int(self.seed))
@@ -191,6 +197,12 @@ def generator_params(spec: GeneratorSpec, field: str = "params") -> dict[str, ob
     if K < 1:
         raise ValidationError("K must be positive", field=f"{field}.K")
     if spec.kind == "orthogonal_counterexample":
+        rounded = round(spec.T)
+        if abs(spec.T - rounded) > 1e-9 * max(1.0, spec.T) or rounded < 1:
+            raise ValidationError(
+                f"the orthogonal counterexample needs an integer-length domain, got T={spec.T!r}",
+                field="T",
+            )
         return {"K": K}
     at = f"{field}.amplitudes"
     amplitudes = json_entry(params, "amplitudes", list, [2.0**-k for k in range(1, K + 1)], field)
@@ -210,13 +222,6 @@ def gen_covariate(spec: GeneratorSpec) -> GridFunction:
             values += amp * np.sin(2.0 * np.pi * k * times)
         return GridFunction(0.0, spec.step, values)
     if spec.kind == "orthogonal_counterexample":
-        rounded = round(spec.T)
-        if abs(spec.T - rounded) > 1e-9 * max(1.0, spec.T) or rounded < 1:
-            raise ValidationError(
-                "the orthogonal counterexample needs an integer-length domain, "
-                f"got T={spec.T!r}",
-                field="T",
-            )
         values = np.zeros_like(times)
         for k in range(1, params["K"] + 1):
             values += 2.0 ** (-4.0 * k) * np.sin(4.0 * np.pi * k * times)

@@ -174,17 +174,14 @@ def assemble(design: Design) -> GramSystem:
     each covariate, ``w`` the lag quadrature weights) and ``W_i`` the
     trapezoid weights in time, so the covariate block of ``G``
     discretizes the Gram operator of the design with quadrature weights
-    on both lag axes. This is :func:`_normal_equations` at stride 1; no
-    ``A_i`` is formed. The dense rows live in ``tests/conftest.py``, as
-    the reference the tests compare with.
+    on both lag axes. This is :func:`_normal_equations` on the design's
+    row set at stride 1, :meth:`Design.rows`, the rows that
+    :func:`fcmlab.model.sse` also reads; no ``A_i`` is formed. The dense
+    rows live in ``tests/conftest.py``, as the reference the tests
+    compare with.
     """
-    k0 = design.alpha_star_index()
-    lags = design.lag_lengths()
-    observations = (
-        (obs.z, obs.y.values[k0:], [xj.values[k0 - L :] for xj, L in zip(obs.x, lags)])
-        for obs in design.observations
-    )
-    return _normal_equations(CoefficientIndexMap.from_design(design), observations, 1, trapezoid=True)
+    imap = CoefficientIndexMap.from_design(design)
+    return _normal_equations(imap, design.rows(1), 1, trapezoid=True)
 
 
 def _normal_equations(
@@ -192,7 +189,8 @@ def _normal_equations(
 ) -> GramSystem:
     """Normal equations of regression rows ``stride`` grid steps apart.
 
-    Each item of ``observations`` is ``(z, y, segments)``: the scalar
+    ``observations`` is a row set of :meth:`fcmlab.model.Design.rows` at
+    that stride: per observation ``(z, y, segments)``, the scalar
     covariates, the responses at the row times ``t_r = t_0 + s r``, and
     per covariate ``j`` the curve segment ``x_j[t_0 - L_j : t_last + 1]``,
     in which row ``r``'s newest sample sits at ``L_j + s r``. Rows carry

@@ -62,7 +62,6 @@ from fcmlab.designs import GeneratorSpec, NoiseSpec, gen_covariate, gen_design, 
 from fcmlab.downsample import fit_flm, flm_row_residuals, to_flm
 from fcmlab.errors import NearSingularError
 from fcmlab.estimator import (
-    CoefficientIndexMap,
     assemble,
     fit,
     solve_direct,
@@ -78,7 +77,7 @@ from fcmlab.identifiability import (
     quadratic_form,
     self_similarity_residual,
 )
-from fcmlab.model import CoefficientSet, Design, Observation, lag_convolve, sse
+from fcmlab.model import CoefficientSet, Design, Observation, predict, sse
 from fcmlab.util import numerical_rank
 
 __all__ = ["Check", "ExperimentResult", "EXPERIMENT_NAMES", "run_experiment", "run_all"]
@@ -442,11 +441,10 @@ def _odd_sine_kernel(j: int, step: float) -> GridFunction:
 def _exp_invisible_directions() -> ExperimentResult:
     design, beta_true = _counterexample_design(noise_sd=0.05)
     step = design.step
-    x = design.observations[0].x[0]
 
     conv_sup = 0.0
     for j in (1, 2, 3):
-        conv = lag_convolve(x, _odd_sine_kernel(j, step), 1.0)
+        conv = predict(design, CoefficientSet((0.0,), (_odd_sine_kernel(j, step),)), 0)
         conv_sup = max(conv_sup, float(np.abs(conv.values).max()))
 
     report = diagnose(design)
@@ -696,7 +694,7 @@ def _exp_solver_agreement() -> ExperimentResult:
     except NearSingularError:
         raised = True
     coef_svd, _ = solve_truncated_svd(def_system)
-    lam = 1e-8 * float(np.linalg.eigvalsh(def_system.G)[-1])
+    lam = 1e-8 * float(def_system.spectrum()[0][-1])
     coef_ridge = solve_penalized(def_system, lam)
     sse_svd = sse(deficient, coef_svd)
     sse_ridge = sse(deficient, coef_ridge)

@@ -21,7 +21,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from fcmlab.designs import GeneratorSpec, NoiseSpec, generator_params, mode_family_values
+from fcmlab.designs import GENERATOR_KINDS, GeneratorSpec, NoiseSpec, generator_params, mode_family_values
 from fcmlab.errors import FcmlabError, GridError, ValidationError
 from fcmlab.estimator import FitResult
 from fcmlab.grids import GridFunction, read_grid_csv, snap_to_index, write_grid_csv
@@ -289,24 +289,25 @@ def write_flm_csv(path, data) -> None:
     """Write down-sampled rows: observation, l, y, scalars, then windows.
 
     The bytes are those of :func:`fcmlab.util.write_csv` on the same
-    columns. Every window of one observation is cut from that
-    observation's segment of the covariate curve, so each segment is
-    formatted once and each row's window is a substring of that text.
-    Text is streamed in blocks of one observation's rows at most.
+    columns. The rows are written one observation at a time: every
+    window of an observation is cut from that observation's segment of
+    the covariate curve, so each segment is formatted once and each
+    row's window is a substring of that text. Text is streamed in blocks
+    of one observation's rows at most.
     """
     header = ["obs", "l", "y"] + [f"z{k}" for k in range(data.d)]
     header += [f"x{j}_u{m}" for j, size in enumerate(data.index_map().sizes) for m in range(size)]
-    scalars = np.column_stack([data.obs_index, data.l_index, data.y, data.z]).astype(float)
-    template = ",".join([CELL_FORMAT] * scalars.shape[1])
+    template = ",".join([CELL_FORMAT] * (3 + data.d))
     per_block = block_rows(len(header))
-    bounds = np.cumsum([0, *data.counts]).tolist()
 
     def blocks():
         yield ",".join(header) + "\n"
-        for a, b, segs in zip(bounds[:-1], bounds[1:], data.segments):
-            windows = [_window_text(seg, b - a, data.stride) for seg in segs]
-            heads = [template % tuple(r) for r in scalars[a:b].tolist()]
-            for k in range(0, b - a, per_block):
+        for i, (z, y, segs) in enumerate(data.rows):
+            n = y.size
+            windows = [_window_text(seg, n, data.stride) for seg in segs]
+            scalars = np.column_stack([np.full(n, i), np.arange(n), y, np.tile(z, (n, 1))])
+            heads = [template % tuple(r) for r in scalars.tolist()]
+            for k in range(0, n, per_block):
                 part = slice(k, k + per_block)
                 cells = [heads[part]] + [[text[c] for c in cuts[part]] for text, cuts in windows]
                 yield "".join([",".join(row) + "\n" for row in zip(*cells)])
@@ -352,6 +353,12 @@ def _parse_simulation_spec(raw: Mapping[str, Any], source):
         if not isinstance(entry, dict):
             raise ValidationError("covariate entry must be an object", source=source, field=f"covariates[{j}]")
         kind = _require(entry, "kind", str, f"covariates[{j}].kind", source)
+        if kind not in GENERATOR_KINDS:
+            raise ValidationError(
+                f"unknown covariate kind {kind!r}, expected one of {GENERATOR_KINDS}",
+                source=source,
+                field=f"covariates[{j}].kind",
+            )
         params = entry.get("params", {})
         if not isinstance(params, Mapping):
             raise ValidationError("params must be an object", source=source, field=f"covariates[{j}].params")

@@ -23,10 +23,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from fcmlab.errors import ConformalityError, GridError, NearSingularError
+from fcmlab.errors import GridError, NearSingularError
 from fcmlab.estimator import GramSystem, assemble
-from fcmlab.grids import GridFunction, inner_product, quadrature_weights, snap_to_index
-from fcmlab.model import CoefficientSet, Design, check_conformal, delay_matrix, predict
+from fcmlab.grids import GridFunction, quadrature_weights, snap_to_index
+from fcmlab.model import CoefficientSet, Design, _predictions, check_conformal, delay_matrix
 from fcmlab.util import numerical_rank
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "DiagnosisReport",
     "quadratic_form",
     "gram_spectrum",
-    "certify_direction",
     "delay_embed",
     "fit_recurrence",
     "recurrence_modes",
@@ -54,18 +53,18 @@ ROOT_CLUSTER_TOL = 1e-6
 def quadratic_form(design: Design, coef: CoefficientSet) -> float:
     """Energy of the lag kernels under the design's Gram operator.
 
-    Computed forward, without assembling the normal matrix: for each
-    observation the prediction of the kernels alone is formed with
-    :func:`fcmlab.model.predict` and its squared norm over
-    ``[alpha_star, T_i]`` is accumulated. Intercept and scalar entries
-    of ``coef`` are ignored. Nonnegative up to rounding, and zero
-    exactly on directions the design cannot distinguish from the zero
-    kernel.
+    Computed forward, without assembling the normal matrix: the
+    prediction of the kernels alone (zero level) over the design's rows
+    on ``[alpha_star, T_i]`` is formed as :func:`fcmlab.model.predict`
+    forms it, and its trapezoid-integrated square is accumulated over
+    observations. Intercept and scalar entries of ``coef`` are ignored.
+    Nonnegative up to rounding, and zero exactly on directions the
+    design cannot distinguish from the zero kernel.
     """
+    check_conformal(design, coef)
     kernels_only = CoefficientSet((0.0,) * len(coef.beta0), coef.betas)
     total = 0.0
-    for i in range(design.n):
-        c = predict(design, kernels_only, i).values
+    for c in _predictions(design.rows(1), kernels_only, design.step, 1):
         w = quadrature_weights(c.size, design.step)
         total += float(w @ (c * c))
     return total
@@ -118,42 +117,20 @@ def gram_spectrum(system: GramSystem, tol: float) -> SpectrumReport:
     return SpectrumReport(evals, rank, tuple(basis), float(tol))
 
 
-def certify_direction(design: Design, gamma: CoefficientSet, tol: float) -> bool:
-    """Whether the design sees the kernel direction ``gamma``.
-
-    ``gamma`` is normalized to unit discrete L2 norm across its lag
-    kernels (intercept and scalar entries are ignored); the direction
-    is certified identifiable when its Gram energy exceeds ``tol``.
-    Raises :class:`ValueError` on a zero direction.
-    """
-    check_conformal(design, gamma)
-    norm_sq = sum(inner_product(b, b) for b in gamma.betas)
-    if norm_sq <= 0.0:
-        raise ValueError("cannot certify the zero direction")
-    scale = 1.0 / np.sqrt(norm_sq)
-    scaled = CoefficientSet(
-        gamma.beta0, tuple(b.with_values(b.values * scale) for b in gamma.betas)
-    )
-    return quadratic_form(design, scaled) > tol
-
-
-def delay_embed(x: GridFunction, alpha: float, stride: int = 1) -> np.ndarray:
+def delay_embed(x: GridFunction, alpha: float) -> np.ndarray:
     """Delay-embedding matrix ``H[l, m] = x(t_l - u_m)``.
 
     Columns run over the lag grid ``u_m = m * step`` on ``[0, alpha]``;
-    rows run over times ``t_l`` from ``alpha`` to the end of the domain
-    in steps of ``stride`` grid intervals. The rank of ``H`` is the
-    dimension of the sampled shift family of ``x`` over that window.
+    rows run over the grid times ``t_l`` from ``alpha`` to the end of the
+    domain. The rank of ``H`` is the dimension of the sampled shift
+    family of ``x`` over that window.
     """
-    if int(stride) != stride or stride < 1:
-        raise ValueError(f"stride must be a positive integer, got {stride!r}")
-    stride = int(stride)
     L = snap_to_index(float(alpha) / x.step, what=f"window {alpha!r}")
     if L < 1:
         raise GridError(f"window {alpha!r} must span at least one step")
     if len(x) - 1 < L:
         raise GridError("curve domain is shorter than the embedding window")
-    return delay_matrix(x.values, np.arange(L, len(x), stride), L)
+    return delay_matrix(x.values, np.arange(L, len(x)), L)
 
 
 def fit_recurrence(x: GridFunction, order: int) -> np.ndarray:
@@ -303,7 +280,6 @@ def self_similarity_residual(
     x: GridFunction,
     order: int,
     alpha: float | None = None,
-    stride: int = 1,
 ) -> float:
     """Relative tail energy of the delay embedding beyond ``order`` modes.
 
@@ -320,7 +296,7 @@ def self_similarity_residual(
         if half < 1:
             raise GridError("curve is too short for a default embedding window")
         alpha = half * x.step
-    H = delay_embed(x, alpha, stride=stride)
+    H = delay_embed(x, alpha)
     if order > H.shape[1]:
         raise ValueError(
             f"order {order} exceeds the {H.shape[1]} embedding columns"

@@ -10,6 +10,11 @@ on ``t in [alpha_star, T]`` where ``alpha_star = max_j alpha_j``; earlier
 times would need covariate history from before 0 and are excluded from
 prediction and from the squared-error criterion. All integrals are
 trapezoid sums on the shared grid.
+
+The regression rows are cut in one place, :meth:`Design.rows`, as views
+into the curves; normal-equation assembly, prediction, the criterion
+and the quadratic form of the Gram operator all read that row set, and
+one private routine computes the prediction over it.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ __all__ = [
     "Design",
     "CoefficientSet",
     "delay_matrix",
-    "lag_convolve",
     "predict",
     "sse",
     "check_conformal",
@@ -145,6 +149,26 @@ class Design:
     def alpha_star_index(self) -> int:
         return snap_to_index(self.alpha_star / self.step)
 
+    def rows(self, stride: int) -> tuple:
+        """The regression rows ``stride`` grid steps apart, per observation.
+
+        Observation ``i`` contributes ``(z, y, segments)``: its scalar
+        covariates, the view ``y_i[k0::stride]`` of its responses at the
+        row times ``t_r = alpha_star + r * stride * step`` and, per
+        covariate ``j``, the view ``x_ij[k0 - L_j : t_last + 1]`` of its
+        curve, in which row ``r``'s window ``x_ij(t_r - u)`` ends at
+        sample ``L_j + stride * r``. Every assembly, prediction and
+        residual reads its rows from here; no sample is copied.
+        """
+        k0 = self.alpha_star_index()
+        lags = self.lag_lengths()
+        rows = []
+        for obs in self.observations:
+            y = obs.y.values[k0::stride]
+            end = k0 + stride * (y.size - 1) + 1
+            rows.append((obs.z, y, tuple(xj.values[k0 - L : end] for xj, L in zip(obs.x, lags))))
+        return tuple(rows)
+
 
 @dataclass(frozen=True)
 class CoefficientSet:
@@ -220,72 +244,27 @@ def _lag_sum(x: np.ndarray, beta: np.ndarray, step: float) -> np.ndarray:
     return np.convolve(x, quadrature_weights(beta.size, step) * beta)
 
 
-def lag_convolve(
-    x: GridFunction,
-    beta: GridFunction,
-    alpha: float,
-    t_start: float | None = None,
-) -> GridFunction:
-    """Trapezoid lag convolution ``c(t) = integral_0^alpha beta(u) x(t - u) du``.
+def _predictions(rows, coef: CoefficientSet, step: float, stride: int):
+    """Prediction at the rows of each observation in ``rows`` (see :meth:`Design.rows`).
 
-    Parameters
-    ----------
-    x : GridFunction
-        Covariate curve; its domain must be at least ``alpha`` long.
-    beta : GridFunction
-        Lag kernel on ``[0, alpha]`` with the step of ``x``.
-    alpha : float
-        Upper integration limit, an integer multiple of the step.
-    t_start : float, optional
-        First output time, at least ``x.start + alpha`` (the default).
-        Callers restricting to a common window pass their global
-        ``alpha_star`` here.
-
-    Returns
-    -------
-    GridFunction
-        Values of the convolution on ``[t_start, x.end]``.
+    Yields, per observation, the level ``b00 + sum_k b0k z_k`` plus, in
+    covariate order, the lag sum of each segment read at the rows.
     """
-    h = x.step
-    tol = 1e-9 * h
-    if abs(beta.step - h) > tol:
-        raise GridError(f"kernel step {beta.step!r} does not match curve step {h!r}")
-    L = snap_to_index(float(alpha) / h, what=f"lag {alpha!r}")
-    if L < 1:
-        raise GridError(f"lag {alpha!r} must span at least one step")
-    if len(beta) != L + 1:
-        raise GridError(f"kernel has {len(beta)} samples, lag {alpha!r} needs {L + 1}")
-    if len(x) - 1 < L:
-        raise GridError("covariate domain is shorter than the lag window")
-    if t_start is None:
-        k0 = L
-        start = x.start + L * h
-    else:
-        k0 = snap_to_index((float(t_start) - x.start) / h, what=f"start time {t_start!r}")
-        if k0 < L:
-            raise GridError(
-                f"output start {t_start!r} reaches before the first full lag window"
-            )
-        if k0 > len(x) - 1:
-            raise GridError(f"output start {t_start!r} lies beyond the curve domain")
-        start = float(t_start)
-    return GridFunction(start, h, _lag_sum(x.values, beta.values, h)[k0 : len(x)])
+    for z, y, segments in rows:
+        level = coef.beta0[0]
+        for zk, bk in zip(z, coef.beta0[1:]):
+            level += bk * zk
+        out = np.full(y.size, level)
+        for seg, bj in zip(segments, coef.betas):
+            out += _lag_sum(seg, bj.values, step)[len(bj) - 1 : seg.size : stride]
+        yield out
 
 
 def predict(design: Design, coef: CoefficientSet, i: int) -> GridFunction:
     """Model prediction for observation ``i`` on ``[alpha_star, T_i]``."""
     check_conformal(design, coef)
-    obs = design.observations[i]
-    k0 = design.alpha_star_index()
-    n_t = len(obs.y) - k0
-    level = coef.beta0[0]
-    for zk, bk in zip(obs.z, coef.beta0[1:]):
-        level += bk * zk
-    out = np.full(n_t, level)
-    start = design.alpha_star
-    for xj, bj, aj in zip(obs.x, coef.betas, design.lags):
-        out += lag_convolve(xj, bj, aj, t_start=start).values
-    return GridFunction(start, design.step, out)
+    (out,) = _predictions([design.rows(1)[i]], coef, design.step, 1)
+    return GridFunction(design.alpha_star, design.step, out)
 
 
 def sse(design: Design, coef: CoefficientSet) -> float:
@@ -296,10 +275,10 @@ def sse(design: Design, coef: CoefficientSet) -> float:
     so repeated evaluations are bit-reproducible.
     """
     check_conformal(design, coef)
-    k0 = design.alpha_star_index()
+    rows = design.rows(1)
     total = 0.0
-    for i, obs in enumerate(design.observations):
-        resid = obs.y.values[k0:] - predict(design, coef, i).values
+    for (_, y, _), fitted in zip(rows, _predictions(rows, coef, design.step, 1)):
+        resid = y - fitted
         w = quadrature_weights(resid.size, design.step)
         total += float(w @ (resid * resid))
     return total

@@ -110,13 +110,14 @@ def observation_rows(design: Design, i: int, t_indices) -> tuple[np.ndarray, np.
 
 def flm_windows(data: FlmDataset) -> tuple[np.ndarray, ...]:
     """``windows[j][r]``: covariate ``j`` of row ``r`` reversed onto its lag grid."""
-    rows = [(segs, data.stride * np.arange(c)) for segs, c in zip(data.segments, data.counts)]
     return tuple(
-        np.concatenate([delay_matrix(segs[j], L + r, L) for segs, r in rows])
+        np.concatenate([delay_matrix(segs[j], L + data.stride * np.arange(y.size), L) for _, y, segs in data.rows])
         for j, L in enumerate(size - 1 for size in data.index_map().sizes)
     )
 
 
-def flm_rows(data: FlmDataset) -> np.ndarray:
-    """The dense row matrix ``A`` of the down-sampled regression."""
-    return dense_rows(data.index_map(), data.z, flm_windows(data))
+def flm_rows(data: FlmDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The dense row matrix ``A`` of the down-sampled regression, and its responses."""
+    z = np.concatenate([np.tile(z, (y.size, 1)) for z, y, _ in data.rows])
+    y = np.concatenate([y for _, y, _ in data.rows])
+    return dense_rows(data.index_map(), z, flm_windows(data)), y

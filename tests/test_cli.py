@@ -649,6 +649,10 @@ class TestErrorReporting:
             ({"noise": {"kind": "white", "sd": -1.0}}, "noise.sd"),
             ({"noise": {"kind": "ar1", "sd": 0.1, "ar_coefficient": 1.5}}, "noise.ar_coefficient"),
             ({"covariates": [{"kind": "sinusoid_rich", "params": {"K": 0}}]}, "covariates[0].params.K"),
+            ({"covariates": [{"kind": "bogus"}]}, "covariates[0].kind"),
+            ({"step": -0.125}, "step"),
+            ({"T": 1.55}, "T"),
+            ({"covariates": [{"kind": "orthogonal_counterexample"}]}, "T"),
         ],
     )
     def test_spec_entry_of_the_wrong_type_exits_2_and_writes_nothing(

@@ -11,7 +11,7 @@ from fcmlab.designs import (
 from fcmlab.errors import ValidationError
 from fcmlab.grids import GridFunction, inner_product
 from fcmlab.identifiability import self_similarity_residual
-from fcmlab.model import CoefficientSet, lag_convolve, sse
+from fcmlab.model import CoefficientSet, Design, Observation, predict, sse
 
 
 def sine_kernel(step, alpha):
@@ -163,10 +163,11 @@ class TestCounterexampleMechanism:
         x = gen_covariate(
             GeneratorSpec("orthogonal_counterexample", 3.0, step, params={"K": 3})
         )
+        design = Design((Observation(x.with_values(np.zeros(len(x))), (x,), ()),), (1.0,), step)
         u = step * np.arange(129)
         for j in (1, 2, 3):
             beta = GridFunction(0.0, step, np.sin(2.0 * np.pi * (2 * j - 1) * u))
-            out = lag_convolve(x, beta, 1.0)
+            out = predict(design, CoefficientSet((0.0,), (beta,)), 0)
             assert np.max(np.abs(out.values)) < 1e-8
 
 

@@ -45,20 +45,16 @@ class TestToFlm:
         design, _ = flm_design
         data = to_flm(design, design.step)
         k0 = design.alpha_star_index()
-        per_obs = len(design.observations[0].y) - k0
-        assert data.counts == (per_obs,) * design.n
-        first = design.observations[0].y.values[k0:]
-        assert np.array_equal(data.y[:per_obs], first)
+        for obs, (_, y, _) in zip(design.observations, data.rows):
+            assert np.array_equal(y, obs.y.values[k0:])
 
     def test_widest_stride_keeps_both_ends(self, flm_design):
         design, _ = flm_design
         T = design.observations[0].y.end
         data = to_flm(design, T - design.alpha_star)
-        assert data.counts == (2,) * design.n
         k0 = design.alpha_star_index()
-        y0 = design.observations[0].y.values
-        assert data.y[0] == y0[k0]
-        assert data.y[1] == y0[-1]
+        for obs, (_, y, _) in zip(design.observations, data.rows):
+            assert y.tolist() == [obs.y.values[k0], obs.y.values[-1]]
 
     def test_windows_are_reversed_covariate_segments(self, flm_design):
         design, _ = flm_design
@@ -76,33 +72,33 @@ class TestToFlm:
         data = to_flm(design, design.step)
         k0 = design.alpha_star_index()
         windows = flm_windows(data)
+        starts = np.cumsum([0] + [y.size for _, y, _ in data.rows])
         for i, obs in enumerate(design.observations):
-            rows = data.obs_index == i
+            rows = slice(starts[i], starts[i + 1])
             for j, (L, alpha) in enumerate(zip(design.lag_lengths(), design.lags)):
                 H = delay_embed(obs.x[j], alpha)
                 assert np.array_equal(windows[j][rows], H[k0 - L :])
 
     @pytest.mark.parametrize("stride", [1, 3, 16])
     def test_rows_hold_no_copy_of_a_covariate_sample(self, unequal_design, stride):
-        # Each segment is a view into its design curve, so the dataset
-        # stores no more covariate samples than the design holds; only
-        # y and z are stored per row.
+        # The dataset owns no array: every response and every segment is
+        # a read-only view into its design curve, and each segment is no
+        # longer than its curve.
         design = unequal_design
         data = to_flm(design, stride * design.step)
-        curves = [x.values for obs in design.observations for x in obs.x]
-        segments = [seg for segs in data.segments for seg in segs]
-        assert all(np.shares_memory(seg, x) for seg, x in zip(segments, curves))
-        assert not any(seg.flags.writeable for seg in segments)
-        assert sum(seg.size for seg in segments) <= sum(x.size for x in curves)
-        arrays = {name for name, v in vars(data).items() if isinstance(v, np.ndarray)}
-        assert arrays == {"y", "z"}
+        assert all(not isinstance(v, np.ndarray) for v in vars(data).values())
+        for obs, (z, y, segments) in zip(design.observations, data.rows):
+            assert z == obs.z
+            views = [(y, obs.y.values)] + list(zip(segments, (x.values for x in obs.x)))
+            for view, curve in views:
+                assert not view.flags.owndata and view.base is curve
+                assert np.shares_memory(view, curve) and view.size <= curve.size
+                assert not view.flags.writeable
 
-    def test_derived_views_are_read_only(self, unequal_design):
+    def test_row_counts_per_observation(self, unequal_design):
         data = to_flm(unequal_design, 2 * unequal_design.step)
-        for a in (data.obs_index, data.l_index):
-            assert not a.flags.writeable
-        assert data.obs_index.tolist() == [0] * 13 + [1] * 17 + [2] * 9
-        assert data.l_index.tolist() == [*range(13), *range(17), *range(9)]
+        assert [y.size for _, y, _ in data.rows] == [13, 17, 9]
+        assert data.row_count == 39
 
     def test_off_grid_interval_rejected(self, flm_design):
         design, _ = flm_design
@@ -111,12 +107,11 @@ class TestToFlm:
         with pytest.raises(GridError):
             to_flm(design, 0.0)
 
-    def test_scalar_covariates_repeat_per_row(self, flm_design):
+    def test_scalar_covariates_are_the_observations(self, flm_design):
         design, _ = flm_design
         data = to_flm(design, 8 * design.step)
-        for r in range(data.row_count):
-            i = int(data.obs_index[r])
-            assert data.z[r, 0] == design.observations[i].z[0]
+        assert data.d == 1
+        assert [z for z, _, _ in data.rows] == [obs.z for obs in design.observations]
 
 
 class TestRowConsistency:

@@ -19,12 +19,11 @@ from fcmlab.estimator import (
     solve_truncated_svd,
 )
 from fcmlab.grids import GridFunction, quadrature_weights, trapezoid_integral
-from fcmlab.identifiability import gram_spectrum
+from fcmlab.identifiability import gram_spectrum, quadratic_form
 from fcmlab.model import (
     CoefficientSet,
     Design,
     Observation,
-    lag_convolve,
     predict,
     sse,
 )
@@ -131,18 +130,28 @@ class TestAssemble:
         stride = data.draw(st.integers(1, design.alpha_star_index() + 2), label="stride")
         flm = to_flm(design, stride * design.step)
         system = flm_normal_equations(flm)
-        A = flm_rows(flm)
+        A, y = flm_rows(flm)
         assert np.array_equal(system.G, system.G.T)
         assert_close_to_dense(system.G, A.T @ A)
-        assert_close_to_dense(system.F, A.T @ flm.y)
+        assert_close_to_dense(system.F, A.T @ y)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         c = rng.standard_normal(system.size)
+        coef = system.index_map.unpack(c)
         fitted = A @ c
-        got = flm_row_residuals(flm, system.index_map.unpack(c))
+        got = flm_row_residuals(flm, coef)
         # The residual is the difference of its two terms; its rounding
         # is a share of the larger of them.
-        scale = max(np.max(np.abs(flm.y)), np.max(np.abs(fitted)))
-        assert np.max(np.abs(got - (flm.y - fitted))) <= ASSEMBLY_RTOL * scale
+        scale = max(np.max(np.abs(y)), np.max(np.abs(fitted)))
+        assert np.max(np.abs(got - (y - fitted))) <= ASSEMBLY_RTOL * scale
+        if stride == 1:
+            # The same rows, with trapezoid weights in time, give the
+            # criterion and the kernels' energy.
+            W = np.concatenate([quadrature_weights(yi.size, design.step) for _, yi, _ in flm.rows])
+            blk = system.index_map.covariate_block
+            kernels = A[:, blk] @ c[blk]
+            tol = ASSEMBLY_RTOL * W.sum()
+            assert abs(sse(design, coef) - W @ (y - fitted) ** 2) <= tol * scale**2
+            assert abs(quadratic_form(design, coef) - W @ kernels**2) <= tol * np.max(np.abs(kernels)) ** 2
 
     def test_zero_covariate_zeroes_the_block(self):
         design = single_obs_design(np.zeros(9), 0.25, 1.0)
@@ -173,8 +182,8 @@ class TestAssemble:
             coef = CoefficientSet((0.0, 0.0), (beta,))
             v = system.index_map.pack(coef)
             direct = 0.0
-            for obs in design.observations:
-                conv = lag_convolve(obs.x[0], beta, design.lags[0])
+            for i in range(design.n):
+                conv = predict(design, coef, i)
                 direct += trapezoid_integral(conv.with_values(conv.values**2))
             assert float(v @ system.G @ v) == pytest.approx(direct, rel=1e-8)
 

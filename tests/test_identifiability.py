@@ -8,7 +8,6 @@ from fcmlab.errors import GridError, NearSingularError
 from fcmlab.estimator import assemble
 from fcmlab.grids import GridFunction, inner_product, quadrature_weights
 from fcmlab.identifiability import (
-    certify_direction,
     delay_embed,
     diagnose,
     fit_recurrence,
@@ -52,6 +51,22 @@ class TestQuadraticForm:
             assert quadratic_form(design, g) == pytest.approx(
                 float(v @ system.G @ v), rel=1e-8
             )
+
+    def test_zero_design_sees_nothing(self):
+        design = curve_design(curve(np.zeros_like, T=2.0, step=0.25), 0.5)
+        assert quadratic_form(design, gamma_on(design, np.ones(3))) == 0.0
+
+    def test_leading_direction_carries_the_largest_eigenvalue(self, deficient_design):
+        # A unit-norm leading eigenvector of the weighted kernel block
+        # has energy equal to the block's largest eigenvalue.
+        design, _ = deficient_design
+        system = assemble(design)
+        blk = system.index_map.covariate_block
+        evals, vecs, S = system.weighted_eigh(blk)
+        c = np.zeros(system.size)
+        c[blk] = vecs[:, -1] / S
+        energy = quadratic_form(design, system.index_map.unpack(c))
+        assert energy == pytest.approx(evals[-1], rel=1e-10)
 
     def test_orthogonal_design_annihilates_odd_sine(self):
         step = 1.0 / 256.0
@@ -121,43 +136,6 @@ class TestGramSpectrum:
         assert r2.numerical_rank == r1.numerical_rank
 
 
-class TestCertifyDirection:
-    def test_null_direction_fails(self, deficient_design):
-        design, _ = deficient_design
-        report = gram_spectrum(assemble(design), tol=1e-10)
-        for v in report.null_basis:
-            assert not certify_direction(design, v, tol=1e-8)
-
-    def test_leading_direction_passes(self, deficient_design):
-        design, _ = deficient_design
-        system = assemble(design)
-        blk = system.index_map.covariate_block
-        W = np.diag(system.weights[blk])
-        Gb = system.G[blk, blk]
-        # leading eigenvector of the weighted block, unpacked and
-        # normalized to unit discrete L2 norm
-        evals, vecs = scipy.linalg.eigh(
-            np.sqrt(W) @ np.linalg.solve(W, Gb @ np.linalg.inv(W)) @ np.sqrt(W)
-        )
-        lead = np.linalg.solve(np.sqrt(W), vecs[:, -1])
-        lead = lead / np.sqrt(float(lead @ W @ lead))
-        c = np.zeros(system.size)
-        c[blk] = lead
-        gamma = system.index_map.unpack(c)
-        assert certify_direction(design, gamma, tol=1e-8)
-
-    def test_zero_design_certifies_nothing(self):
-        x = curve(np.zeros_like, T=2.0, step=0.25)
-        design = curve_design(x, 0.5)
-        g = gamma_on(design, np.ones(3))
-        assert not certify_direction(design, g, tol=1e-8)
-
-    def test_zero_direction_rejected(self, noisy_design):
-        design, _ = noisy_design
-        with pytest.raises(ValueError):
-            certify_direction(design, gamma_on(design, np.zeros(9)), tol=1e-8)
-
-
 class TestDelayEmbed:
     def test_rows_are_lagged_windows(self):
         x = curve(lambda t: t, T=1.0, step=0.25)
@@ -166,10 +144,6 @@ class TestDelayEmbed:
         assert H.shape == (3, 3)
         assert np.allclose(H[0], [0.5, 0.25, 0.0])
         assert np.allclose(H[-1], [1.0, 0.75, 0.5])
-
-    def test_stride_thins_rows(self):
-        x = curve(lambda t: t, T=1.0, step=0.125)
-        assert delay_embed(x, 0.5, stride=2).shape[0] == 3
 
     def test_exponential_is_rank_one(self):
         s = scipy.linalg.svdvals(delay_embed(curve(lambda t: np.exp(0.3 * t)), 1.0))

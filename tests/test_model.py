@@ -9,18 +9,22 @@ from fcmlab.model import (
     CoefficientSet,
     Design,
     Observation,
-    lag_convolve,
     predict,
     sse,
 )
 
 
+def curve_design(fn, T=2.0, step=0.25, alpha=1.0, z=()):
+    """Single observation with covariate ``fn(t)`` and zero response."""
+    t = step * np.arange(round(T / step) + 1)
+    y = GridFunction(0.0, step, np.zeros(t.size))
+    x = GridFunction(0.0, step, fn(t))
+    return Design((Observation(y, (x,), tuple(z)),), (alpha,), step)
+
+
 def const_design(x_value, T=2.0, step=0.25, alpha=1.0, z=()):
     """Single observation with constant covariate and zero response."""
-    n = round(T / step) + 1
-    y = GridFunction(0.0, step, np.zeros(n))
-    x = GridFunction(0.0, step, np.full(n, float(x_value)))
-    return Design((Observation(y, (x,), tuple(z)),), (alpha,), step)
+    return curve_design(lambda t: np.full(t.size, float(x_value)), T, step, alpha, z)
 
 
 def kernel(step, alpha, fn):
@@ -28,47 +32,27 @@ def kernel(step, alpha, fn):
     return GridFunction(0.0, step, fn(u))
 
 
-class TestLagConvolve:
+class TestPredict:
     def test_zero_kernel_gives_zero(self):
-        step = 0.125
-        x = kernel(step, 2.0, lambda t: np.sin(t))
-        beta = kernel(step, 0.5, np.zeros_like)
-        out = lag_convolve(x, beta, 0.5)
-        assert np.all(out.values == 0.0)
+        design = curve_design(np.sin, step=0.125, alpha=0.5)
+        coef = CoefficientSet((0.0,), (kernel(design.step, 0.5, np.zeros_like),))
+        assert np.all(predict(design, coef, 0).values == 0.0)
 
     def test_unit_kernel_on_unit_covariate(self):
-        step = 0.125
-        x = kernel(step, 2.0, np.ones_like)
-        beta = kernel(step, 1.0, np.ones_like)
-        out = lag_convolve(x, beta, 1.0)
+        design = const_design(1.0, step=0.125)
+        coef = CoefficientSet((0.0,), (kernel(design.step, 1.0, np.ones_like),))
+        out = predict(design, coef, 0)
         assert out.start == 1.0
         assert np.allclose(out.values, 1.0, atol=1e-14)
 
     def test_linear_covariate_closed_form(self):
         # integral of (t - u) over u in [0, 1] is t - 1/2, and the
         # trapezoid rule is exact for linear integrands.
-        step = 0.125
-        x = kernel(step, 2.0, lambda t: t)
-        beta = kernel(step, 1.0, np.ones_like)
-        out = lag_convolve(x, beta, 1.0)
+        design = curve_design(lambda t: t, step=0.125)
+        coef = CoefficientSet((0.0,), (kernel(design.step, 1.0, np.ones_like),))
+        out = predict(design, coef, 0)
         assert np.allclose(out.values, out.times() - 0.5, atol=1e-14)
 
-    def test_lag_must_sit_on_grid(self):
-        step = 0.125
-        x = kernel(step, 2.0, lambda t: t)
-        beta = kernel(step, 1.0, np.ones_like)
-        with pytest.raises(GridError):
-            lag_convolve(x, beta, 0.3)
-
-    def test_covariate_shorter_than_lag(self):
-        step = 0.25
-        x = kernel(step, 0.5, lambda t: t)
-        beta = kernel(step, 1.0, np.ones_like)
-        with pytest.raises(GridError):
-            lag_convolve(x, beta, 1.0)
-
-
-class TestPredict:
     def test_all_zero_coefficients_give_intercept(self):
         design = const_design(3.0)
         coef = CoefficientSet((2.5,), (kernel(design.step, 1.0, np.zeros_like),))
@@ -206,6 +190,12 @@ class TestConformality:
         x = GridFunction(0.0, step, np.zeros(8))
         with pytest.raises(ConformalityError):
             Observation(y, (x,), ())
+
+    def test_lag_must_sit_on_grid(self):
+        step = 0.125
+        x = GridFunction(0.0, step, np.zeros(17))
+        with pytest.raises(GridError):
+            Design((Observation(x, (x,), ()),), (0.3,), step)
 
     def test_lag_beyond_shortest_observation(self):
         step = 0.25
