@@ -249,19 +249,34 @@ def _normal_equations(
         G[:lead, sk] = head[k] * w[sk]
         F[sk] *= w[sk]
         for j, sj in enumerate(blocks[: k + 1]):
-            UU, VV = U[j] @ U[k].T, V[j] @ V[k].T
-            Q = np.empty_like(UU)
-            Q[:s] = first[j][k]
-            Q[s:, :s] = first[k][j][:, s:].T
-            Q[s:, s:] = UU[s:, s:] - VV[:-s, :-s]
-            for a in range(s, Q.shape[0]):
-                Q[a, s:] += Q[a - s, :-s]
+            Q, UU, VV = _lag_shift_fill(first[j][k], first[k][j], U[j], U[k], V[j], V[k], s)
             if trapezoid:
                 Q = h * Q - 0.5 * h * (UU + VV)
             G[sj, sk] = Q * np.outer(w[sj], w[sk])
     G = np.triu(G)
     G += np.triu(G, 1).T
     return GramSystem(G, F, imap, w)
+
+
+def _lag_shift_fill(first_jk, first_kj, Uj, Uk, Vj, Vk, s: int) -> tuple:
+    """Fill ``Q_jk`` from its first ``s`` rows and columns and its displacement.
+
+    ``first_jk`` and ``first_kj`` are the first ``s`` rows of ``Q_jk``
+    and ``Q_kj``, so the transpose of the second gives the first ``s``
+    columns of ``Q_jk``. ``U`` and ``V`` stack, one column per
+    observation, the first and last rows of each covariate's delay
+    matrix. The rest follows from ``Q[a+s, b+s] = Q[a, b] + UU[a+s,
+    b+s] - VV[a, b]``, where ``UU = U_j U_k'`` and ``VV = V_j V_k'`` (see
+    :func:`_normal_equations`). Returns ``Q``, ``UU`` and ``VV``.
+    """
+    UU, VV = Uj @ Uk.T, Vj @ Vk.T
+    Q = np.empty_like(UU)
+    Q[:s] = first_jk
+    Q[s:, :s] = first_kj[:, s:].T
+    Q[s:, s:] = UU[s:, s:] - VV[:-s, :-s]
+    for a in range(s, Q.shape[0]):
+        Q[a, s:] += Q[a - s, :-s]
+    return Q, UU, VV
 
 
 def solve_direct(system: GramSystem, rel_tol: float = DEFAULT_SVD_RTOL) -> CoefficientSet:

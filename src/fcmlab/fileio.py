@@ -58,7 +58,9 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
-ARTIFACT_VERSION = 2  # 2: fit.json's eigenvalues are of the weighted normal matrix
+# 2: fit.json's eigenvalues are of the weighted normal matrix; 3: a curve
+# certified broadband has a null order, residual and singular values.
+ARTIFACT_VERSION = 3
 
 
 def _write_json(path, payload: Mapping[str, Any]) -> None:
@@ -238,7 +240,9 @@ def diagnosis_payload(report: DiagnosisReport) -> dict[str, Any]:
                         }
                         for m in rep.modes
                     ],
-                    "singular_values": rep.singular_values.tolist(),
+                    "singular_values": None
+                    if rep.singular_values is None
+                    else rep.singular_values.tolist(),
                 }
             )
     return {
@@ -263,9 +267,16 @@ def write_spectrum_csv(path, values: np.ndarray) -> None:
 
 
 def write_residual_curves_csv(path, report: DiagnosisReport) -> None:
-    """Write every residual-vs-order curve as ``observation,covariate,K,residual``."""
-    reps = [(i, j, rep) for i, row in enumerate(report.covariate_reports) for j, rep in enumerate(row)]
-    rows = [(i, j, K, r) for i, j, rep in reps for K, r in enumerate(rep.residual_curve.tolist())]
+    """Write every residual-vs-order curve as ``observation,covariate,K,residual``.
+
+    A curve certified broadband has no residual curve and writes no rows.
+    """
+    curves = [
+        (i, j, rep.residual_curve)
+        for i, row in enumerate(report.covariate_reports)
+        for j, rep in enumerate(row)
+    ]
+    rows = [(i, j, K, r) for i, j, c in curves if c is not None for K, r in enumerate(c.tolist())]
     write_csv(path, ["observation", "covariate", "K", "residual"], [rows])
 
 
@@ -339,10 +350,14 @@ def _parse_simulation_spec(raw: Mapping[str, Any], source):
     if version != FORMAT_VERSION:
         raise ValidationError(f"unsupported format_version {version}", source=source)
     step = _require(raw, "step", float, "step", source)
+    if step <= 0.0:
+        raise ValidationError("step must be positive", source=source, field="step")
     T = _require(raw, "T", float, "T", source)
     n = _require(raw, "n", int, "n", source)
     seed = _require(raw, "seed", int, "seed", source)
     lags = _require(raw, "lags", list, "lags", source)
+    if not lags:
+        raise ValidationError("at least one lag is required", source=source, field="lags")
     cov_raw = _require(raw, "covariates", list, "covariates", source)
     if len(cov_raw) != len(lags):
         raise ValidationError(

@@ -13,7 +13,10 @@ the grid and is a finite combination of polynomial-exponential-
 sinusoid modes; its delay-embedding matrix then has low rank. The
 detector sweeps the recurrence order, reports the tail singular-value
 energy at each order, and recovers the continuous-time mode parameters
-from the recurrence roots.
+from the recurrence roots. A curve whose embedding Gram has too many
+eigenvalues above the tolerance to be explained by half of its
+spectrum is certified broadband from the inertia of that Gram, with no
+singular value decomposition.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dsytrf, dsytrf_lwork
 
 from fcmlab.errors import GridError, NearSingularError
-from fcmlab.estimator import GramSystem, assemble
+from fcmlab.estimator import GramSystem, _lag_shift_fill, assemble
 from fcmlab.grids import GridFunction, quadrature_weights, snap_to_index
 from fcmlab.model import CoefficientSet, Design, _predictions, check_conformal, delay_matrix
 from fcmlab.util import numerical_rank
@@ -189,19 +193,20 @@ def recurrence_modes(coeffs: np.ndarray, step: float) -> tuple[Mode, ...]:
     """
     coeffs = np.asarray(coeffs, dtype=float)
     poly = np.concatenate(([1.0], -coeffs))
-    roots = np.roots(poly)
+    roots = np.roots(poly).tolist()
     clusters: list[list[complex]] = []
+    centers: list[complex] = []  # the mean of each cluster, updated when it grows
     for r in sorted(roots, key=lambda z: (z.real, z.imag)):
-        for cluster in clusters:
-            center = np.mean(cluster)
+        for q, center in enumerate(centers):
             if abs(r - center) <= ROOT_CLUSTER_TOL:
-                cluster.append(r)
+                clusters[q].append(r)
+                centers[q] = complex(np.mean(clusters[q]))
                 break
         else:
             clusters.append([r])
+            centers.append(r)
     modes: list[Mode] = []
     seen_conjugate: set[int] = set()
-    centers = [complex(np.mean(c)) for c in clusters]
     for idx, (cluster, center) in enumerate(zip(clusters, centers)):
         if idx in seen_conjugate:
             continue
@@ -248,21 +253,28 @@ class SelfSimilarityReport:
     the latest. ``recurrence_coeffs`` and ``modes`` are populated when
     the order is parsimonious (see :attr:`finite_dimensional`) and the
     recurrence at that order is well posed; otherwise they are None.
+    A curve certified broadband (see :func:`_certified_broadband`) has
+    no singular values and no order: both are None, and so are its
+    residual and residual curve.
     """
 
-    singular_values: np.ndarray
-    estimated_order: int
+    singular_values: np.ndarray | None
+    estimated_order: int | None
     recurrence_coeffs: np.ndarray | None
     modes: tuple[Mode, ...] | None
 
     @property
-    def residual_curve(self) -> np.ndarray:
+    def residual_curve(self) -> np.ndarray | None:
         """Relative tail energy for every order ``K = 0 .. len(sigma)``."""
+        if self.singular_values is None:
+            return None
         return _tail_energy(self.singular_values)
 
     @property
-    def residual(self) -> float:
+    def residual(self) -> float | None:
         """Relative misfit of the best approximation at the estimated order."""
+        if self.estimated_order is None:
+            return None
         return float(self.residual_curve[self.estimated_order])
 
     @property
@@ -271,8 +283,11 @@ class SelfSimilarityReport:
 
         An order that needs more than half of the singular values is not
         a parsimonious explanation: broadband curves reach the detection
-        tolerance only there, as the spectrum runs out.
+        tolerance only there, as the spectrum runs out. A certified
+        broadband curve, which has no order, is never finite-dimensional.
         """
+        if self.estimated_order is None:
+            return False
         return self.estimated_order <= self.singular_values.size // 2
 
 
@@ -323,8 +338,89 @@ class DiagnosisReport:
     tol: float
 
 
+def _positive_inertia(A: np.ndarray) -> int:
+    """Number of positive eigenvalues of the symmetric ``A``, which is overwritten.
+
+    By Sylvester's law of inertia this is the number of positive
+    eigenvalues of ``D`` in the Bunch-Kaufman factorization ``A = L D
+    L'`` (LAPACK ``dsytrf``; Bunch & Kaufman, Math. Comp. 31, 1977).
+    ``D`` holds 1x1 and 2x2 blocks. Bunch-Kaufman pivoting takes a 2x2
+    block only when its determinant is negative, so that it has one
+    eigenvalue of each sign, and such a block counts once; any other
+    2x2 block, and a factor that is not finite, would undercount.
+    """
+    lwork = int(dsytrf_lwork(A.shape[0], lower=1)[0])
+    ldu, ipiv, _ = dsytrf(A, lower=1, lwork=lwork, overwrite_a=1)
+    d = np.diagonal(ldu)
+    if not np.all(np.isfinite(d)):
+        return 0
+    k = np.flatnonzero(ipiv < 0)  # 2x2 blocks: consecutive pairs (k, k+1)
+    det = d[k[0::2]] * d[k[1::2]] - ldu[k[1::2], k[0::2]] ** 2
+    return int(np.count_nonzero((ipiv > 0) & (d > 0.0)) + np.count_nonzero(det < 0.0))
+
+
+def _embedding_gram(H: np.ndarray) -> np.ndarray:
+    """``H' H`` for a delay embedding ``H``, by the lag-shift recurrence.
+
+    The Gram of a delay matrix has the displacement structure that
+    :func:`fcmlab.estimator.assemble` uses (Kailath, Kung & Morf, J.
+    Math. Anal. Appl. 68, 1979): it follows from its first row and the
+    first and last rows of ``H``, in ``O(R n + n^2)`` for ``R`` rows and
+    ``n`` columns, against ``O(R n^2)`` for the product.
+    """
+    first = H[:, 0] @ H
+    U, V = H[0][:, None], H[-1][:, None]
+    return _lag_shift_fill(first[None], first[None], U, U, V, V, 1)[0]
+
+
+def _certified_broadband(H: np.ndarray, tol: float) -> bool:
+    """Whether the delay embedding ``H`` is too rich for half of its spectrum.
+
+    ``H`` has ``n = L + 1`` columns over a curve of ``N`` samples, and
+    ``M = H' H`` comes from :func:`_embedding_gram`. With ``half = n //
+    2`` and ``theta = (tol**2 + rho) * trace(M)``, the curve is certified
+    when at least ``half + 1`` eigenvalues of ``M`` exceed ``theta``,
+    counted as the positive inertia of ``M - theta I``. Then
+    ``sigma[half]**2 > tol**2 * ||sigma||**2``, so the singular-value
+    tail energy is at least ``tol`` at every order up to ``half``: the
+    order search of :func:`_analyze_curve` would end past ``half`` and
+    find the curve not finite-dimensional.
+
+    ``rho = 8 n (N + n) eps``, with ``eps`` the machine epsilon, covers
+    rounding. Each entry of ``M`` sums at most ``N + 2n`` products of
+    samples whose absolute values add up to at most ``3 ||x||^2 <= 3
+    trace(M)`` (every sample enters some column of ``H``), so the
+    computed ``M`` lies within ``3 n (N + n + 1) eps trace(M)`` of the
+    exact one in the 2-norm. Without element growth, the factorization's
+    inertia is exact for a matrix within ``n eps ||M||`` of ``M - theta
+    I``. Together that is at most ``rho / 2`` times the trace; the other
+    half of ``rho`` is the margin for the rounding of the singular values
+    the certificate stands in for. Adding ``rho`` to ``tol**2``, rather
+    than taking the larger of the two, keeps that margin for any ``tol``.
+    """
+    R, n = H.shape
+    N = R + n - 1
+    M = _embedding_gram(H)
+    rho = 8.0 * n * (N + n) * np.finfo(float).eps
+    theta = (float(tol) ** 2 + rho) * float(np.trace(M))
+    if not (np.isfinite(theta) and theta > 0.0):
+        return False
+    M[np.diag_indices(n)] -= theta
+    return _positive_inertia(M) > n // 2
+
+
 def _analyze_curve(x: GridFunction, alpha: float, tol: float) -> SelfSimilarityReport:
-    s = np.asarray(scipy.linalg.svdvals(delay_embed(x, alpha)), dtype=float)
+    """Self-similarity report of one curve; see :class:`SelfSimilarityReport`.
+
+    The certificate of :func:`_certified_broadband` runs first. A
+    certified curve gets a report with no singular values, order or
+    recurrence, at no singular value decomposition; every other curve
+    takes the singular values of its embedding and the order search.
+    """
+    H = delay_embed(x, alpha)
+    if _certified_broadband(H, tol):
+        return SelfSimilarityReport(None, None, None, None)
+    s = np.asarray(scipy.linalg.svdvals(H), dtype=float)
     s.setflags(write=False)
     # The last tail is zero, so some K >= 1 is always below tol.
     order = 1 + int(np.argmax(_tail_energy(s)[1:] < tol))

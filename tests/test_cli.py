@@ -651,6 +651,9 @@ class TestErrorReporting:
             ({"covariates": [{"kind": "sinusoid_rich", "params": {"K": 0}}]}, "covariates[0].params.K"),
             ({"covariates": [{"kind": "bogus"}]}, "covariates[0].kind"),
             ({"step": -0.125}, "step"),
+            ({"lags": [], "covariates": [], "betas": []}, "lags"),
+            ({"lags": [], "covariates": [], "betas": [], "step": -0.125}, "step"),
+            ({"lags": [], "covariates": [], "betas": [], "step": 0.0}, "step"),
             ({"T": 1.55}, "T"),
             ({"covariates": [{"kind": "orthogonal_counterexample"}]}, "T"),
         ],

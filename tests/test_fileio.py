@@ -247,13 +247,32 @@ class TestPayloads:
         assert lines[0] == "index,sigma"
         assert len(lines) == 4
 
-    def test_residual_curves_csv(self, tmp_path, noisy_design):
-        design, _ = noisy_design
+    def test_residual_curves_csv(self, tmp_path, deficient_design):
+        # The three-tone curves are finite-dimensional, so none is
+        # certified broadband and each writes its whole curve.
+        design, _ = deficient_design
+        report = diagnose(design)
         path = tmp_path / "res.csv"
-        fileio.write_residual_curves_csv(path, diagnose(design))
+        fileio.write_residual_curves_csv(path, report)
         lines = path.read_text().splitlines()
         assert lines[0] == "observation,covariate,K,residual"
-        assert len(lines) > 1
+        sizes = [rep.singular_values.size for row in report.covariate_reports for rep in row]
+        assert len(lines) == 1 + sum(size + 1 for size in sizes)
+
+    def test_certified_curves_are_null_and_write_no_residual_rows(self, tmp_path, noisy_design):
+        design, _ = noisy_design
+        report = diagnose(design)
+        payload = fileio.diagnosis_payload(report)
+        assert len(payload["covariates"]) == design.n
+        for entry in payload["covariates"]:
+            assert entry["estimated_order"] is None
+            assert entry["residual"] is None
+            assert entry["singular_values"] is None
+            assert entry["finite_dimensional"] is False
+            assert entry["recurrence_coeffs"] is None and entry["modes"] is None
+        path = tmp_path / "res.csv"
+        fileio.write_residual_curves_csv(path, report)
+        assert path.read_text() == "observation,covariate,K,residual\n"
 
     def test_flm_csv_layout(self, tmp_path, noisy_design):
         design, _ = noisy_design

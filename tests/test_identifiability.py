@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcmlab import identifiability
 from fcmlab.designs import GeneratorSpec, gen_covariate
+from fcmlab.experiments import _family_curve, _family_members
 from fcmlab.errors import GridError, NearSingularError
 from fcmlab.estimator import assemble
 from fcmlab.grids import GridFunction, inner_product, quadrature_weights
@@ -261,6 +264,95 @@ class TestSelfSimilarityResidual:
             self_similarity_residual(x, 4, alpha=0.5)
 
 
+def root_curve(roots, coefs, size, step):
+    """``x[k] = sum_q c_q z_q^k``: a curve of order ``len(roots)``."""
+    k = np.arange(size)
+    return GridFunction(0.0, step, sum(c * z**k for z, c in zip(roots, coefs)))
+
+
+@st.composite
+def certificate_cases(draw):
+    """A curve, its embedding window and a tolerance.
+
+    Filtered noise of several sizes; members of the mode family; and
+    curves of exact order ``half`` or ``half + 1`` of their window.
+    Returns ``(x, alpha, tol, order)``, with ``order`` None for noise.
+    """
+    tol = draw(st.sampled_from([1e-8, 1e-6, 1e-3, 5e-2]))
+    kind = draw(st.sampled_from(["noise", "family", "order"]))
+    if kind == "noise":
+        step = 1.0 / draw(st.sampled_from([16, 32, 64]))
+        T = draw(st.sampled_from([1.0, 2.0, 3.0]))
+        spec = GeneratorSpec(
+            "filtered_noise", T, step, seed=draw(st.integers(0, 2**31 - 1)),
+            params={
+                "n_modes": 64,
+                "max_frequency": draw(st.sampled_from([2.0, 8.0, 0.4 / step])),
+                "bandwidth": step,
+            },
+        )
+        x = gen_covariate(spec)
+        L = draw(st.integers(1, (len(x) - 1) // 2))
+        return x, L * step, tol, None
+    if kind == "family":
+        step = 1.0 / 32.0
+        a, b, m, order = draw(st.sampled_from(list(_family_members())))
+        x = _family_curve(a, b, m, 2.0, step)
+        n = draw(st.integers(max(2, 2 * order - 2), 2 * order + 1))
+        return x, (n - 1) * step, tol, order
+    order = draw(st.integers(1, 12))
+    step = 1.0 / 16.0
+    roots = draw(
+        st.lists(st.floats(-0.95, 1.02), min_size=order, max_size=order, unique=True)
+    )
+    coefs = draw(st.lists(st.floats(0.5, 2.0), min_size=order, max_size=order))
+    n = draw(st.sampled_from([2 * order - 2, 2 * order - 1, 2 * order, 2 * order + 1]))
+    n = max(n, 2)
+    size = draw(st.integers(2 * n, 5 * n))
+    return root_curve(roots, coefs, size, step), (n - 1) * step, tol, order
+
+
+class TestBroadbandCertificate:
+    def test_embedding_gram_matches_the_product(self):
+        rng = np.random.default_rng(5)
+        for size, L in ((9, 1), (40, 7), (200, 64)):
+            H = delay_embed(GridFunction(0.0, 0.5, rng.standard_normal(size)), L * 0.5)
+            M = identifiability._embedding_gram(H)
+            ref = H.T @ H
+            assert np.abs(M - ref).max() <= 1e-12 * np.trace(ref)
+
+    def test_positive_inertia_counts_positive_eigenvalues(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 5, 33, 80):
+            for _ in range(5):
+                Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                evals = rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 10.0, n)
+                A = (Q * evals) @ Q.T
+                A = 0.5 * (A + A.T)
+                assert identifiability._positive_inertia(A.copy()) == np.count_nonzero(evals > 0)
+
+    @given(case=certificate_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_certified_curves_have_a_tail_of_at_least_tol_at_half(self, case):
+        x, alpha, tol, order = case
+        H = delay_embed(x, alpha)
+        half = H.shape[1] // 2
+        if not identifiability._certified_broadband(H, tol):
+            return
+        # A curve of order at most half satisfies a short recurrence.
+        assert order is None or order > half
+        tail = identifiability._tail_energy(scipy.linalg.svdvals(H))
+        assert tail[half] >= tol
+
+    def test_certified_curve_runs_no_svd(self, monkeypatch, noisy_design):
+        design, _ = noisy_design
+        calls = []
+        monkeypatch.setattr(scipy.linalg, "svdvals", lambda *args, **kw: calls.append(args))
+        report = diagnose(design)
+        assert all(rep.singular_values is None for row in report.covariate_reports for rep in row)
+        assert calls == []
+
+
 class TestDiagnose:
     def test_exponential_design_not_identifiable(self):
         x = curve(lambda t: np.exp(0.3 * t), T=2.0, step=1.0 / 64.0)
@@ -287,8 +379,9 @@ class TestDiagnose:
         assert report.spectrum.numerical_rank < report.spectrum.eigenvalues.size
 
     def test_broadband_order_past_half_window_is_not_parsimonious(self, monkeypatch):
-        # Filtered noise reaches the tolerance only near the end of its
-        # 65 singular values, so no recurrence is worth fitting.
+        # Filtered noise keeps more than half of its 65 embedding
+        # directions above the tolerance, so the inertia certificate
+        # settles the curve: no order, no SVD and no recurrence.
         step = 1.0 / 128.0
         spec = GeneratorSpec(
             "filtered_noise", 2.0, step, seed=3,
@@ -298,13 +391,24 @@ class TestDiagnose:
         monkeypatch.setattr(
             identifiability, "fit_recurrence", lambda *args: calls.append(args)
         )
+        monkeypatch.setattr(
+            scipy.linalg, "svdvals", lambda *args, **kw: calls.append(args)
+        )
         report = diagnose(curve_design(gen_covariate(spec), 0.5))
         rep = report.covariate_reports[0][0]
-        assert rep.singular_values.size // 2 < rep.estimated_order < rep.singular_values.size
+        assert rep.estimated_order is None and rep.singular_values is None
+        assert rep.residual is None and rep.residual_curve is None
         assert not rep.finite_dimensional
         assert report.finite_dimensional == (False,)
         assert rep.recurrence_coeffs is None and rep.modes is None
         assert calls == []
+
+    def test_uncertified_singular_values_are_svdvals_of_the_embedding(self, deficient_design):
+        design, _ = deficient_design
+        report = diagnose(design)
+        for obs, row in zip(design.observations, report.covariate_reports):
+            expected = scipy.linalg.svdvals(delay_embed(obs.x[0], design.lags[0]))
+            assert row[0].singular_values.tobytes() == expected.tobytes()
 
     def test_order_at_half_window_keeps_recurrence(self):
         # Two tones need order 4, exactly half of an 8-column window.
@@ -323,10 +427,16 @@ class TestDiagnose:
     def test_residual_is_the_curve_at_the_estimated_order(self, noisy_design):
         terms = [{"a": -0.2, "b": 7.0}, {"a": 0.1, "b": 17.0}, {"a": -0.3, "b": 27.0}]
         x = gen_covariate(GeneratorSpec("self_similar", 6.0, 1.0 / 64.0, params={"terms": terms}))
+        certified = 0
         for design in (noisy_design[0], curve_design(x, 1.0)):
             for row in diagnose(design).covariate_reports:
                 for rep in row:
-                    assert rep.residual == rep.residual_curve[rep.estimated_order]
+                    if rep.estimated_order is None:
+                        certified += 1
+                        assert rep.residual is None and rep.residual_curve is None
+                    else:
+                        assert rep.residual == rep.residual_curve[rep.estimated_order]
+        assert certified == noisy_design[0].n
 
     def test_null_directions_have_zero_quadratic_form(self, deficient_design):
         design, _ = deficient_design
