@@ -16,7 +16,7 @@ use.
 """
 
 from fcmlab.designs import GeneratorSpec, NoiseSpec, gen_covariate, gen_design
-from fcmlab.downsample import FlmDataset, fit_flm, to_flm
+from fcmlab.downsample import fit_flm, to_flm
 from fcmlab.errors import (
     ConformalityError,
     FcmlabError,
@@ -66,7 +66,6 @@ __all__ = [
     "NoiseSpec",
     "gen_covariate",
     "gen_design",
-    "FlmDataset",
     "to_flm",
     "fit_flm",
     "FcmlabError",

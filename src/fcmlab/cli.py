@@ -85,9 +85,13 @@ def _emit(payload: dict) -> None:
 def _cmd_simulate(config: RunConfig) -> int:
     if not config.spec_path or not config.out_path:
         raise ValidationError("simulate needs --spec and --out")
-    (cov_specs, beta_true, noise, n, seed), raw = fileio.read_simulation_spec(config.spec_path)
+    parsed, raw = fileio.read_simulation_spec(config.spec_path)
     if config.seed is not None:
-        seed = config.seed
+        # Covariate seeds derive from the spec's seed while it is parsed,
+        # so the override is parsed too, and truth.json records it.
+        raw = {**raw, "seed": config.seed}
+        parsed = fileio.parse_simulation_spec(raw, source=config.spec_path)
+    cov_specs, beta_true, noise, n, seed = parsed
     design, _ = gen_design(cov_specs, beta_true, noise, n, seed)
     out_dir = Path(config.out_path)
     manifest = fileio.write_design(design, out_dir)

@@ -33,7 +33,7 @@ from typing import Mapping
 import numpy as np
 
 from fcmlab.errors import GridError, ValidationError
-from fcmlab.grids import GridFunction, snap_to_index
+from fcmlab.grids import ALIGN_RTOL, GridFunction, snap_to_index
 from fcmlab.model import CoefficientSet, Design, Observation, _lag_sum
 from fcmlab.util import json_entry, json_value
 
@@ -198,7 +198,7 @@ def generator_params(spec: GeneratorSpec, field: str = "params") -> dict[str, ob
         raise ValidationError("K must be positive", field=f"{field}.K")
     if spec.kind == "orthogonal_counterexample":
         rounded = round(spec.T)
-        if abs(spec.T - rounded) > 1e-9 * max(1.0, spec.T) or rounded < 1:
+        if abs(spec.T - rounded) > ALIGN_RTOL * max(1.0, spec.T) or rounded < 1:
             raise ValidationError(
                 f"the orthogonal counterexample needs an integer-length domain, got T={spec.T!r}",
                 field="T",
@@ -283,7 +283,7 @@ def gen_design(
     step = cov_specs[0].step
     T = cov_specs[0].T
     for spec in cov_specs[1:]:
-        if abs(spec.step - step) > 1e-9 * step or abs(spec.T - T) > 1e-9 * max(1.0, T):
+        if abs(spec.step - step) > ALIGN_RTOL * step or abs(spec.T - T) > ALIGN_RTOL * max(1.0, T):
             raise ValidationError("all covariate specs must share T and step")
     d = len(beta_true.beta0) - 1
     lags = tuple(b.domain_length for b in beta_true.betas)

@@ -8,7 +8,7 @@ of :func:`fcmlab.model.sse` to rounding error.
 
 The coefficient vector ``c`` stacks the intercept, the scalar-covariate
 coefficients, and one block of lag-kernel samples per functional
-covariate; :class:`CoefficientIndexMap` owns that layout.
+covariate; :class:`fcmlab.model.CoefficientIndexMap` owns that layout.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ import scipy.linalg
 
 from fcmlab import model as model_mod
 from fcmlab.errors import ConformalityError, NearSingularError
-from fcmlab.grids import GridFunction, quadrature_weights, snap_to_index
-from fcmlab.model import CoefficientSet, Design, delay_matrix
+from fcmlab.grids import quadrature_weights
+from fcmlab.model import CoefficientIndexMap, CoefficientSet, Design, RowSet, delay_matrix
 from fcmlab.util import numerical_rank
 
 __all__ = [
-    "CoefficientIndexMap",
     "GramSystem",
     "FitResult",
     "assemble",
@@ -39,76 +38,6 @@ __all__ = [
 ]
 
 DEFAULT_SVD_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class CoefficientIndexMap:
-    """Layout of the stacked coefficient vector.
-
-    Row 0 is the intercept, rows ``1 .. d`` the scalar coefficients,
-    followed by one contiguous block of ``L_j + 1`` kernel samples per
-    functional covariate.
-    """
-
-    d: int
-    lags: tuple[float, ...]
-    step: float
-    sizes: tuple[int, ...]
-    offsets: tuple[int, ...]
-    size: int
-
-    @classmethod
-    def from_parts(cls, d: int, lags: tuple[float, ...], step: float) -> "CoefficientIndexMap":
-        sizes = tuple(snap_to_index(a / step, what=f"lag {a!r}") + 1 for a in lags)
-        offsets = []
-        pos = d + 1
-        for s in sizes:
-            offsets.append(pos)
-            pos += s
-        return cls(int(d), tuple(float(a) for a in lags), float(step), sizes, tuple(offsets), pos)
-
-    @classmethod
-    def from_design(cls, design: Design) -> "CoefficientIndexMap":
-        return cls.from_parts(design.d, design.lags, design.step)
-
-    def covariate_slice(self, j: int) -> slice:
-        return slice(self.offsets[j], self.offsets[j] + self.sizes[j])
-
-    @property
-    def covariate_block(self) -> slice:
-        """All functional-covariate rows (everything past intercept and scalars)."""
-        return slice(self.d + 1, self.size)
-
-    def lag_weights(self) -> np.ndarray:
-        """Per-entry quadrature weights: 1 for intercept/scalars, trapezoid in u."""
-        w = np.ones(self.size)
-        for j, sl in enumerate(self.covariate_slice(j) for j in range(len(self.lags))):
-            w[sl] = quadrature_weights(self.sizes[j], self.step)
-        return w
-
-    def pack(self, coef: CoefficientSet) -> np.ndarray:
-        c = np.empty(self.size)
-        if len(coef.beta0) != self.d + 1 or len(coef.betas) != len(self.lags):
-            raise ConformalityError("coefficient set does not match the index map")
-        c[: self.d + 1] = coef.beta0
-        for j, b in enumerate(coef.betas):
-            if len(b) != self.sizes[j]:
-                raise ConformalityError(
-                    f"lag kernel {j} has {len(b)} samples, expected {self.sizes[j]}"
-                )
-            c[self.covariate_slice(j)] = b.values
-        return c
-
-    def unpack(self, c: np.ndarray) -> CoefficientSet:
-        c = np.asarray(c, dtype=float)
-        if c.shape != (self.size,):
-            raise ConformalityError(f"coefficient vector has shape {c.shape}, expected ({self.size},)")
-        beta0 = tuple(float(v) for v in c[: self.d + 1])
-        betas = tuple(
-            GridFunction(0.0, self.step, c[self.covariate_slice(j)])
-            for j in range(len(self.lags))
-        )
-        return CoefficientSet(beta0, betas)
 
 
 @dataclass(frozen=True)
@@ -180,17 +109,14 @@ def assemble(design: Design) -> GramSystem:
     rows live in ``tests/conftest.py``, as the reference the tests
     compare with.
     """
-    imap = CoefficientIndexMap.from_design(design)
-    return _normal_equations(imap, design.rows(1), 1, trapezoid=True)
+    return _normal_equations(design.rows(1), trapezoid=True)
 
 
-def _normal_equations(
-    imap: CoefficientIndexMap, observations, stride: int, trapezoid: bool
-) -> GramSystem:
-    """Normal equations of regression rows ``stride`` grid steps apart.
+def _normal_equations(rows: RowSet, trapezoid: bool) -> GramSystem:
+    """Normal equations of regression rows ``s`` grid steps apart.
 
-    ``observations`` is a row set of :meth:`fcmlab.model.Design.rows` at
-    that stride: per observation ``(z, y, segments)``, the scalar
+    ``rows`` is a row set of :meth:`fcmlab.model.Design.rows` at stride
+    ``s``: per observation ``(z, y, segments)``, the scalar
     covariates, the responses at the row times ``t_r = t_0 + s r``, and
     per covariate ``j`` the curve segment ``x_j[t_0 - L_j : t_last + 1]``,
     in which row ``r``'s newest sample sits at ``L_j + s r``. Rows carry
@@ -215,7 +141,8 @@ def _normal_equations(
     another order than the dense route's, so entries differ from it by
     rounding, about 1e-15 of the largest. ``G`` is exactly symmetric.
     """
-    h, lead, s = imap.step, imap.d + 1, stride
+    imap = rows.index_map
+    h, lead, s = imap.step, imap.d + 1, rows.stride
     lags = [size - 1 for size in imap.sizes]
     n_first = [min(s, size) for size in imap.sizes]  # rows of Q_jk formed directly
     blocks = [imap.covariate_slice(j) for j in range(len(lags))]
@@ -224,7 +151,7 @@ def _normal_equations(
     first = [[np.zeros((a, size)) for size in imap.sizes] for a in n_first]  # first[j][k] = Q_jk[:s]
     head = [np.zeros((lead, size)) for size in imap.sizes]  # sum of [1, z] times Wt @ H_k
     ends = [[] for _ in lags]  # [H_k[0], H_k[-1]] of every observation
-    for z, y, segments in observations:
+    for z, y, segments in rows.observations:
         level = np.concatenate(([1.0], z))
         r = np.arange(0, s * y.size, s)
         Wt = quadrature_weights(y.size, h) if trapezoid else np.ones(y.size)

@@ -26,7 +26,7 @@ from fcmlab.errors import FcmlabError, GridError, ValidationError
 from fcmlab.estimator import FitResult
 from fcmlab.grids import GridFunction, read_grid_csv, snap_to_index, write_grid_csv
 from fcmlab.identifiability import DiagnosisReport
-from fcmlab.model import CoefficientSet, Design, Observation
+from fcmlab.model import CoefficientSet, Design, Observation, RowSet
 from fcmlab.util import (
     CELL_FORMAT,
     atomic_write,
@@ -296,7 +296,7 @@ def _window_text(segment: np.ndarray, rows: int, stride: int) -> tuple[str, list
     return text, list(map(slice, starts[first].tolist(), (starts[first + width] - 1).tolist()))
 
 
-def write_flm_csv(path, data) -> None:
+def write_flm_csv(path, rows: RowSet) -> None:
     """Write down-sampled rows: observation, l, y, scalars, then windows.
 
     The bytes are those of :func:`fcmlab.util.write_csv` on the same
@@ -306,16 +306,17 @@ def write_flm_csv(path, data) -> None:
     row's window is a substring of that text. Text is streamed in blocks
     of one observation's rows at most.
     """
-    header = ["obs", "l", "y"] + [f"z{k}" for k in range(data.d)]
-    header += [f"x{j}_u{m}" for j, size in enumerate(data.index_map().sizes) for m in range(size)]
-    template = ",".join([CELL_FORMAT] * (3 + data.d))
+    imap = rows.index_map
+    header = ["obs", "l", "y"] + [f"z{k}" for k in range(imap.d)]
+    header += [f"x{j}_u{m}" for j, size in enumerate(imap.sizes) for m in range(size)]
+    template = ",".join([CELL_FORMAT] * (3 + imap.d))
     per_block = block_rows(len(header))
 
     def blocks():
         yield ",".join(header) + "\n"
-        for i, (z, y, segs) in enumerate(data.rows):
+        for i, (z, y, segs) in enumerate(rows.observations):
             n = y.size
-            windows = [_window_text(seg, n, data.stride) for seg in segs]
+            windows = [_window_text(seg, n, rows.stride) for seg in segs]
             scalars = np.column_stack([np.full(n, i), np.arange(n), y, np.tile(z, (n, 1))])
             heads = [template % tuple(r) for r in scalars.tolist()]
             for k in range(0, n, per_block):

@@ -223,7 +223,7 @@ def read_grid_csv(path) -> GridFunction:
     if bad.size:
         k = int(bad[0])
         raise ValidationError(
-            f"non-finite entry {times[k]!r},{values[k]!r}", source=path, line=k + 2
+            f"non-finite entry {times[k]!r},{values[k]!r}", source=path, line=_sample_line(path, k)
         )
     step = (t[-1] - t[0]) / (len(t) - 1)
     if step <= 0.0:
@@ -231,10 +231,18 @@ def read_grid_csv(path) -> GridFunction:
     gaps = np.diff(t)
     bad = np.nonzero(np.abs(gaps - step) > ALIGN_RTOL * step)[0]
     if bad.size:
-        lineno = int(bad[0]) + 3
+        k = int(bad[0])
         raise ValidationError(
-            f"non-uniform spacing: gap {gaps[bad[0]]!r} vs step {step!r}",
+            f"non-uniform spacing: gap {float(gaps[k])!r} vs step {float(step)!r}",
             source=path,
-            line=lineno,
+            line=_sample_line(path, k + 1),
         )
     return GridFunction(float(t[0]), float(step), v)
+
+
+def _sample_line(path, k: int) -> int:
+    """File line of sample ``k`` of a grid CSV, counting past the header and blank lines."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        return [reader.line_num for row in reader if row][k]

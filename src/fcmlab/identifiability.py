@@ -30,7 +30,7 @@ from scipy.linalg.lapack import dsytrf, dsytrf_lwork
 from fcmlab.errors import GridError, NearSingularError
 from fcmlab.estimator import GramSystem, _lag_shift_fill, assemble
 from fcmlab.grids import GridFunction, quadrature_weights, snap_to_index
-from fcmlab.model import CoefficientSet, Design, _predictions, check_conformal, delay_matrix
+from fcmlab.model import CoefficientSet, Design, _predictions, delay_matrix
 from fcmlab.util import numerical_rank
 
 __all__ = [
@@ -65,10 +65,9 @@ def quadratic_form(design: Design, coef: CoefficientSet) -> float:
     Nonnegative up to rounding, and zero exactly on directions the
     design cannot distinguish from the zero kernel.
     """
-    check_conformal(design, coef)
     kernels_only = CoefficientSet((0.0,) * len(coef.beta0), coef.betas)
     total = 0.0
-    for c in _predictions(design.rows(1), kernels_only, design.step, 1):
+    for c in _predictions(design.rows(1), kernels_only):
         w = quadrature_weights(c.size, design.step)
         total += float(w @ (c * c))
     return total

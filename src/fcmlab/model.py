@@ -11,29 +11,32 @@ times would need covariate history from before 0 and are excluded from
 prediction and from the squared-error criterion. All integrals are
 trapezoid sums on the shared grid.
 
-The regression rows are cut in one place, :meth:`Design.rows`, as views
-into the curves; normal-equation assembly, prediction, the criterion
-and the quadratic form of the Gram operator all read that row set, and
-one private routine computes the prediction over it.
+The regression rows are cut in one place, :meth:`Design.rows`, as a
+:class:`RowSet` of views into the curves that carries its coefficient
+layout; normal-equation assembly, prediction, the criterion and the
+quadratic form of the Gram operator all read that row set, and one
+private routine computes the prediction over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from fcmlab.errors import ConformalityError, GridError
-from fcmlab.grids import GridFunction, quadrature_weights, snap_to_index
+from fcmlab.grids import ALIGN_RTOL, GridFunction, quadrature_weights, snap_to_index
 
 __all__ = [
     "Observation",
     "Design",
     "CoefficientSet",
+    "CoefficientIndexMap",
+    "RowSet",
     "delay_matrix",
     "predict",
     "sse",
-    "check_conformal",
 ]
 
 
@@ -54,7 +57,7 @@ class Observation:
         z = tuple(float(v) for v in self.z)
         if not x:
             raise ConformalityError("an observation needs at least one covariate curve")
-        tol = 1e-9 * self.y.step
+        tol = ALIGN_RTOL * self.y.step
         if abs(self.y.start) > tol:
             raise ConformalityError(f"curves must start at 0, response starts at {self.y.start!r}")
         for j, xj in enumerate(x):
@@ -102,7 +105,7 @@ class Design:
         p = len(lags)
         d = len(observations[0].z)
         alpha_star = max(lags)
-        tol = 1e-9 * step
+        tol = ALIGN_RTOL * step
         for i, obs in enumerate(observations):
             if len(obs.x) != p:
                 raise ConformalityError(
@@ -149,7 +152,12 @@ class Design:
     def alpha_star_index(self) -> int:
         return snap_to_index(self.alpha_star / self.step)
 
-    def rows(self, stride: int) -> tuple:
+    @cached_property
+    def index_map(self) -> CoefficientIndexMap:
+        """Layout of the coefficient vector of this design."""
+        return CoefficientIndexMap.from_parts(self.d, self.lags, self.step)
+
+    def rows(self, stride: int) -> RowSet:
         """The regression rows ``stride`` grid steps apart, per observation.
 
         Observation ``i`` contributes ``(z, y, segments)``: its scalar
@@ -167,7 +175,7 @@ class Design:
             y = obs.y.values[k0::stride]
             end = k0 + stride * (y.size - 1) + 1
             rows.append((obs.z, y, tuple(xj.values[k0 - L : end] for xj, L in zip(obs.x, lags))))
-        return tuple(rows)
+        return RowSet(self.index_map, stride, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -191,7 +199,7 @@ class CoefficientSet:
         if not betas:
             raise ConformalityError("at least one lag kernel is required")
         for j, b in enumerate(betas):
-            if abs(b.start) > 1e-9 * b.step:
+            if abs(b.start) > ALIGN_RTOL * b.step:
                 raise ConformalityError(f"lag kernel {j} must start at 0, got {b.start!r}")
         object.__setattr__(self, "beta0", beta0)
         object.__setattr__(self, "betas", betas)
@@ -201,26 +209,106 @@ class CoefficientSet:
         return self.beta0[0]
 
 
-def check_conformal(design: Design, coef: CoefficientSet) -> None:
-    """Raise :class:`ConformalityError` unless ``coef`` fits ``design``."""
-    if len(coef.beta0) != design.d + 1:
-        raise ConformalityError(
-            f"beta0 has {len(coef.beta0)} entries, design needs {design.d + 1}"
-        )
-    if len(coef.betas) != design.p:
-        raise ConformalityError(
-            f"{len(coef.betas)} lag kernels for {design.p} functional covariates"
-        )
-    tol = 1e-9 * design.step
-    for j, (b, length) in enumerate(zip(coef.betas, design.lag_lengths())):
-        if abs(b.step - design.step) > tol:
+@dataclass(frozen=True)
+class CoefficientIndexMap:
+    """Layout of the stacked coefficient vector.
+
+    Row 0 is the intercept, rows ``1 .. d`` the scalar coefficients,
+    followed by one contiguous block of ``L_j + 1`` kernel samples per
+    functional covariate.
+    """
+
+    d: int
+    lags: tuple[float, ...]
+    step: float
+    sizes: tuple[int, ...]
+    offsets: tuple[int, ...]
+    size: int
+
+    @classmethod
+    def from_parts(cls, d: int, lags: tuple[float, ...], step: float) -> "CoefficientIndexMap":
+        sizes = tuple(snap_to_index(a / step, what=f"lag {a!r}") + 1 for a in lags)
+        offsets = []
+        pos = d + 1
+        for s in sizes:
+            offsets.append(pos)
+            pos += s
+        return cls(int(d), tuple(float(a) for a in lags), float(step), sizes, tuple(offsets), pos)
+
+    @classmethod
+    def from_design(cls, design: Design) -> "CoefficientIndexMap":
+        return design.index_map
+
+    def covariate_slice(self, j: int) -> slice:
+        return slice(self.offsets[j], self.offsets[j] + self.sizes[j])
+
+    @property
+    def covariate_block(self) -> slice:
+        """All functional-covariate rows (everything past intercept and scalars)."""
+        return slice(self.d + 1, self.size)
+
+    def lag_weights(self) -> np.ndarray:
+        """Per-entry quadrature weights: 1 for intercept/scalars, trapezoid in u."""
+        w = np.ones(self.size)
+        for j, sl in enumerate(self.covariate_slice(j) for j in range(len(self.lags))):
+            w[sl] = quadrature_weights(self.sizes[j], self.step)
+        return w
+
+    def pack(self, coef: CoefficientSet) -> np.ndarray:
+        """Stack ``coef`` into one vector; :class:`ConformalityError` unless it fits.
+
+        This is the one conformality check of coefficients against a
+        design: the number of scalar coefficients and of lag kernels,
+        and each kernel's step and length.
+        """
+        if len(coef.beta0) != self.d + 1:
+            raise ConformalityError(f"beta0 has {len(coef.beta0)} entries, design needs {self.d + 1}")
+        if len(coef.betas) != len(self.lags):
             raise ConformalityError(
-                f"lag kernel {j} uses step {b.step!r}, design step is {design.step!r}"
+                f"{len(coef.betas)} lag kernels for {len(self.lags)} functional covariates"
             )
-        if len(b) != length + 1:
-            raise ConformalityError(
-                f"lag kernel {j} has {len(b)} samples, lag {design.lags[j]!r} needs {length + 1}"
-            )
+        c = np.empty(self.size)
+        c[: self.d + 1] = coef.beta0
+        for j, b in enumerate(coef.betas):
+            if abs(b.step - self.step) > ALIGN_RTOL * self.step:
+                raise ConformalityError(
+                    f"lag kernel {j} uses step {b.step!r}, design step is {self.step!r}"
+                )
+            if len(b) != self.sizes[j]:
+                raise ConformalityError(
+                    f"lag kernel {j} has {len(b)} samples, lag {self.lags[j]!r} needs {self.sizes[j]}"
+                )
+            c[self.covariate_slice(j)] = b.values
+        return c
+
+    def unpack(self, c: np.ndarray) -> CoefficientSet:
+        c = np.asarray(c, dtype=float)
+        if c.shape != (self.size,):
+            raise ConformalityError(f"coefficient vector has shape {c.shape}, expected ({self.size},)")
+        beta0 = tuple(float(v) for v in c[: self.d + 1])
+        betas = tuple(
+            GridFunction(0.0, self.step, c[self.covariate_slice(j)])
+            for j in range(len(self.lags))
+        )
+        return CoefficientSet(beta0, betas)
+
+
+@dataclass(frozen=True)
+class RowSet:
+    """Regression rows ``stride`` grid steps apart, with their coefficient layout.
+
+    ``observations`` holds, per observation, ``(z, y, segments)`` as
+    :meth:`Design.rows` cuts them: views into the design's curves, so a
+    row set holds no array of its own and no window is ever formed.
+    """
+
+    index_map: CoefficientIndexMap
+    stride: int
+    observations: tuple
+
+    @property
+    def row_count(self) -> int:
+        return sum(y.size for _, y, _ in self.observations)
 
 
 def delay_matrix(values: np.ndarray, rows: np.ndarray, L: int) -> np.ndarray:
@@ -244,13 +332,17 @@ def _lag_sum(x: np.ndarray, beta: np.ndarray, step: float) -> np.ndarray:
     return np.convolve(x, quadrature_weights(beta.size, step) * beta)
 
 
-def _predictions(rows, coef: CoefficientSet, step: float, stride: int):
-    """Prediction at the rows of each observation in ``rows`` (see :meth:`Design.rows`).
+def _predictions(rows: RowSet, coef: CoefficientSet):
+    """Prediction at each observation's rows in ``rows``.
 
     Yields, per observation, the level ``b00 + sum_k b0k z_k`` plus, in
     covariate order, the lag sum of each segment read at the rows.
+    ``coef`` is checked against the layout of ``rows`` before the first
+    prediction.
     """
-    for z, y, segments in rows:
+    rows.index_map.pack(coef)
+    step, stride = rows.index_map.step, rows.stride
+    for z, y, segments in rows.observations:
         level = coef.beta0[0]
         for zk, bk in zip(z, coef.beta0[1:]):
             level += bk * zk
@@ -262,8 +354,8 @@ def _predictions(rows, coef: CoefficientSet, step: float, stride: int):
 
 def predict(design: Design, coef: CoefficientSet, i: int) -> GridFunction:
     """Model prediction for observation ``i`` on ``[alpha_star, T_i]``."""
-    check_conformal(design, coef)
-    (out,) = _predictions([design.rows(1)[i]], coef, design.step, 1)
+    rows = design.rows(1)
+    (out,) = _predictions(RowSet(rows.index_map, 1, (rows.observations[i],)), coef)
     return GridFunction(design.alpha_star, design.step, out)
 
 
@@ -274,10 +366,9 @@ def sse(design: Design, coef: CoefficientSet) -> float:
     ``[alpha_star, T_i]``. Observations are accumulated in index order
     so repeated evaluations are bit-reproducible.
     """
-    check_conformal(design, coef)
     rows = design.rows(1)
     total = 0.0
-    for (_, y, _), fitted in zip(rows, _predictions(rows, coef, design.step, 1)):
+    for (_, y, _), fitted in zip(rows.observations, _predictions(rows, coef)):
         resid = y - fitted
         w = quadrature_weights(resid.size, design.step)
         total += float(w @ (resid * resid))

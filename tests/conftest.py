@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from fcmlab.designs import GeneratorSpec, NoiseSpec, gen_design
-from fcmlab.downsample import FlmDataset
-from fcmlab.estimator import CoefficientIndexMap
 from fcmlab.grids import GridFunction
-from fcmlab.model import CoefficientSet, Design, Observation, delay_matrix
+from fcmlab.model import CoefficientIndexMap, CoefficientSet, Design, Observation, RowSet, delay_matrix
 
 
 @pytest.fixture
@@ -108,16 +106,16 @@ def observation_rows(design: Design, i: int, t_indices) -> tuple[np.ndarray, np.
     return dense_rows(imap, obs.z, windows), obs.y.values[t_indices]
 
 
-def flm_windows(data: FlmDataset) -> tuple[np.ndarray, ...]:
+def flm_windows(data: RowSet) -> tuple[np.ndarray, ...]:
     """``windows[j][r]``: covariate ``j`` of row ``r`` reversed onto its lag grid."""
     return tuple(
-        np.concatenate([delay_matrix(segs[j], L + data.stride * np.arange(y.size), L) for _, y, segs in data.rows])
-        for j, L in enumerate(size - 1 for size in data.index_map().sizes)
+        np.concatenate([delay_matrix(segs[j], L + data.stride * np.arange(y.size), L) for _, y, segs in data.observations])
+        for j, L in enumerate(size - 1 for size in data.index_map.sizes)
     )
 
 
-def flm_rows(data: FlmDataset) -> tuple[np.ndarray, np.ndarray]:
+def flm_rows(data: RowSet) -> tuple[np.ndarray, np.ndarray]:
     """The dense row matrix ``A`` of the down-sampled regression, and its responses."""
-    z = np.concatenate([np.tile(z, (y.size, 1)) for z, y, _ in data.rows])
-    y = np.concatenate([y for _, y, _ in data.rows])
-    return dense_rows(data.index_map(), z, flm_windows(data)), y
+    z = np.concatenate([np.tile(z, (y.size, 1)) for z, y, _ in data.observations])
+    y = np.concatenate([y for _, y, _ in data.observations])
+    return dense_rows(data.index_map, z, flm_windows(data)), y

@@ -148,6 +148,22 @@ class TestSimulateFitPipeline:
         assert text_a != text_b
 
 
+    def test_seed_flag_is_the_spec_with_that_seed(self, tmp_path, capsys):
+        # --seed reseeds the covariates as well as the noise, and truth.json
+        # records the spec that reproduces the design.
+        flagged, edited = tmp_path / "flagged", tmp_path / "edited"
+        spec = write_spec(tmp_path)
+        assert main(["simulate", "--spec", str(spec), "--out", str(flagged), "--seed", "8"]) == 0
+        spec = write_spec(tmp_path, "seed8.json", seed=8)
+        assert main(["simulate", "--spec", str(spec), "--out", str(edited)]) == 0
+        capsys.readouterr()
+        files = sorted(p.relative_to(flagged) for p in flagged.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(edited) for p in edited.rglob("*") if p.is_file())
+        assert {"manifest.json", "truth.json", "obs000/x00.csv"} <= {str(p) for p in files}
+        for name in files:
+            assert (flagged / name).read_bytes() == (edited / name).read_bytes(), name
+
+
 class TestDiagnoseCommand:
     def test_mode_limited_design_is_flagged(self, tmp_path, capsys):
         manifest = simulate(

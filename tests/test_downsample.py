@@ -45,7 +45,7 @@ class TestToFlm:
         design, _ = flm_design
         data = to_flm(design, design.step)
         k0 = design.alpha_star_index()
-        for obs, (_, y, _) in zip(design.observations, data.rows):
+        for obs, (_, y, _) in zip(design.observations, data.observations):
             assert np.array_equal(y, obs.y.values[k0:])
 
     def test_widest_stride_keeps_both_ends(self, flm_design):
@@ -53,7 +53,7 @@ class TestToFlm:
         T = design.observations[0].y.end
         data = to_flm(design, T - design.alpha_star)
         k0 = design.alpha_star_index()
-        for obs, (_, y, _) in zip(design.observations, data.rows):
+        for obs, (_, y, _) in zip(design.observations, data.observations):
             assert y.tolist() == [obs.y.values[k0], obs.y.values[-1]]
 
     def test_windows_are_reversed_covariate_segments(self, flm_design):
@@ -72,7 +72,7 @@ class TestToFlm:
         data = to_flm(design, design.step)
         k0 = design.alpha_star_index()
         windows = flm_windows(data)
-        starts = np.cumsum([0] + [y.size for _, y, _ in data.rows])
+        starts = np.cumsum([0] + [y.size for _, y, _ in data.observations])
         for i, obs in enumerate(design.observations):
             rows = slice(starts[i], starts[i + 1])
             for j, (L, alpha) in enumerate(zip(design.lag_lengths(), design.lags)):
@@ -81,13 +81,13 @@ class TestToFlm:
 
     @pytest.mark.parametrize("stride", [1, 3, 16])
     def test_rows_hold_no_copy_of_a_covariate_sample(self, unequal_design, stride):
-        # The dataset owns no array: every response and every segment is
+        # The row set owns no array: every response and every segment is
         # a read-only view into its design curve, and each segment is no
         # longer than its curve.
         design = unequal_design
         data = to_flm(design, stride * design.step)
         assert all(not isinstance(v, np.ndarray) for v in vars(data).values())
-        for obs, (z, y, segments) in zip(design.observations, data.rows):
+        for obs, (z, y, segments) in zip(design.observations, data.observations):
             assert z == obs.z
             views = [(y, obs.y.values)] + list(zip(segments, (x.values for x in obs.x)))
             for view, curve in views:
@@ -97,7 +97,7 @@ class TestToFlm:
 
     def test_row_counts_per_observation(self, unequal_design):
         data = to_flm(unequal_design, 2 * unequal_design.step)
-        assert [y.size for _, y, _ in data.rows] == [13, 17, 9]
+        assert [y.size for _, y, _ in data.observations] == [13, 17, 9]
         assert data.row_count == 39
 
     def test_off_grid_interval_rejected(self, flm_design):
@@ -110,8 +110,8 @@ class TestToFlm:
     def test_scalar_covariates_are_the_observations(self, flm_design):
         design, _ = flm_design
         data = to_flm(design, 8 * design.step)
-        assert data.d == 1
-        assert [z for z, _, _ in data.rows] == [obs.z for obs in design.observations]
+        assert data.index_map.d == 1
+        assert [z for z, _, _ in data.observations] == [obs.z for obs in design.observations]
 
 
 class TestRowConsistency:
@@ -162,7 +162,7 @@ class TestFitFlm:
         ridge_sse = float(np.sum(flm_row_residuals(data, coef) ** 2))
         system = flm_normal_equations(data)
         c_min, *_ = np.linalg.lstsq(system.G, system.F, rcond=None)
-        imap = data.index_map()
+        imap = data.index_map
         best_sse = float(np.sum(flm_row_residuals(data, imap.unpack(c_min)) ** 2))
         assert ridge_sse <= best_sse * (1.0 + 1e-6)
 

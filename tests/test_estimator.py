@@ -9,7 +9,6 @@ from fcmlab.designs import GeneratorSpec, NoiseSpec, gen_design
 from fcmlab.downsample import fit_flm, flm_normal_equations, flm_row_residuals, to_flm
 from fcmlab.errors import ConformalityError, NearSingularError
 from fcmlab.estimator import (
-    CoefficientIndexMap,
     GramSystem,
     assemble,
     fit,
@@ -21,6 +20,7 @@ from fcmlab.estimator import (
 from fcmlab.grids import GridFunction, quadrature_weights, trapezoid_integral
 from fcmlab.identifiability import gram_spectrum, quadratic_form
 from fcmlab.model import (
+    CoefficientIndexMap,
     CoefficientSet,
     Design,
     Observation,
@@ -146,7 +146,7 @@ class TestAssemble:
         if stride == 1:
             # The same rows, with trapezoid weights in time, give the
             # criterion and the kernels' energy.
-            W = np.concatenate([quadrature_weights(yi.size, design.step) for _, yi, _ in flm.rows])
+            W = np.concatenate([quadrature_weights(yi.size, design.step) for _, yi, _ in flm.observations])
             blk = system.index_map.covariate_block
             kernels = A[:, blk] @ c[blk]
             tol = ASSEMBLY_RTOL * W.sum()

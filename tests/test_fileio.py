@@ -71,7 +71,7 @@ def with_special_samples(design):
 
 @st.composite
 def flm_datasets(draw):
-    """Small designs holding any finite doubles, with their row datasets.
+    """Small designs holding any finite doubles, with their row sets.
 
     p = 1..3 covariates with unequal lags, d = 0..2 scalars, one to three
     observations of unequal length, and a stride of 1 to 12 steps, so
@@ -372,7 +372,7 @@ class TestCsvBytes:
         rows = [chunk.count("\n") for chunk in chunks[1:]]
         assert max(len(chunk) for chunk in chunks) < len(text) / 2
         assert sum(rows) == data.row_count
-        assert max(rows) <= min(max(y.size for _, y, _ in data.rows), util.block_rows(UNEQUAL_ROW_CELLS))
+        assert max(rows) <= min(max(y.size for _, y, _ in data.observations), util.block_rows(UNEQUAL_ROW_CELLS))
 
     def test_table_longer_than_one_block(self, tmp_path):
         n = 2 * (util._BLOCK_CELLS // 2) + 1  # two full blocks of two cells a row, then one row

@@ -195,6 +195,21 @@ class TestCsvRoundTrip:
         # on its second row.
         assert exc.value.line == 3
 
+    def test_non_finite_entry_after_a_blank_line_reports_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,value\n\n0,1\n0.5,nan\n1,2\n")
+        with pytest.raises(ValidationError) as exc:
+            read_grid_csv(path)
+        assert exc.value.line == 4
+
+    def test_nonuniform_spacing_after_a_blank_line_reports_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,value\n0.0,1.0\n\n0.5,2.0\n1.2,3.0\n")
+        with pytest.raises(ValidationError) as exc:
+            read_grid_csv(path)
+        assert exc.value.line == 4
+        assert "gap 0.5 vs step 0.6" in str(exc.value)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,val\n0.0,1.0\n0.5,2.0\n")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fcmlab.designs import GeneratorSpec, NoiseSpec, gen_design
+from fcmlab.downsample import flm_row_residuals, to_flm
 from fcmlab.errors import ConformalityError, GridError
 from fcmlab.grids import GridFunction, trapezoid_integral
 from fcmlab.identifiability import quadratic_form
@@ -171,7 +172,37 @@ class TestSse:
             assert sse(design, coef) >= base
 
 
+# Every consumer of a row set checks coefficients through the same
+# CoefficientIndexMap.pack, so each refuses the same sets.
+CONSUMERS = {
+    "predict": lambda design, coef: predict(design, coef, 0),
+    "sse": sse,
+    "quadratic_form": quadratic_form,
+    "flm_row_residuals": lambda design, coef: flm_row_residuals(to_flm(design, 2 * design.step), coef),
+}
+
+
+def misfit(truth, kind):
+    """``truth`` with one part that does not fit its design, and the error it should raise."""
+    kernel = truth.betas[0]
+    if kind == "kernel step":
+        return CoefficientSet(truth.beta0, (GridFunction(0.0, 2 * kernel.step, kernel.values),)), "uses step"
+    if kind == "kernel length":
+        return CoefficientSet(truth.beta0, (GridFunction(0.0, kernel.step, kernel.values[:-1]),)), "has 8 samples"
+    if kind == "kernel count":
+        return CoefficientSet(truth.beta0, (kernel, kernel)), "2 lag kernels for 1"
+    return CoefficientSet(truth.beta0[:1], truth.betas), "beta0 has 1 entries"
+
+
 class TestConformality:
+    @pytest.mark.parametrize("kind", ["kernel step", "kernel length", "kernel count", "scalar count"])
+    @pytest.mark.parametrize("consumer", sorted(CONSUMERS))
+    def test_every_consumer_refuses_the_same_coefficients(self, noisy_design, consumer, kind):
+        design, truth = noisy_design
+        bad, message = misfit(truth, kind)
+        with pytest.raises(ConformalityError, match=message):
+            CONSUMERS[consumer](design, bad)
+
     def test_wrong_kernel_length(self, noisy_design):
         design, truth = noisy_design
         bad = CoefficientSet(truth.beta0, (GridFunction(0.0, design.step, np.zeros(5)),))
