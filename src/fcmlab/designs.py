@@ -18,7 +18,10 @@ Four covariate families cover the interesting identifiability regimes:
     noise. The draw depends only on the seed and parameters, not on the
     grid, so the same spec evaluated at different steps samples one
     underlying function. Broadband by construction, hence not
-    self-similar at any parsimonious order.
+    self-similar at any parsimonious order. The sum of sines is
+    evaluated by angle addition over blocks of grid offsets, which
+    agrees with a direct ``sin`` of every ``w t + phi`` to about
+    ``1e-13`` of the curve's maximum (the rounding of ``w t`` itself).
 
 Generation is deterministic: the same spec and seed reproduce the same
 bytes, and per-observation seeds are derived arithmetically so
@@ -58,6 +61,10 @@ GENERATOR_KINDS = (
 # Derived seed stride between observations; any fixed odd constant works,
 # it only needs to keep per-observation streams distinct and reproducible.
 _SEED_STRIDE = 1009
+
+# Grid offsets per block of the angle-addition sine sum; 32 to 128 are
+# equally fast, and the result does not depend on it beyond rounding.
+_SINE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -146,7 +153,9 @@ def filtered_noise_modes(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray, n
     Returns ``(amplitudes, angular_frequencies, phases)`` such that the
     curve is ``sum_q A_q sin(W_q t + phi_q)``. Exposed so callers can
     build closed-form convolution responses against the exact same
-    random function the generator samples.
+    random function the generator samples. The generator evaluates the
+    sum by angle addition (see ``_sine_sum``), so its samples match a
+    direct evaluation to rounding, not bit for bit.
     """
     if spec.kind != "filtered_noise":
         raise ValidationError(f"spec kind is {spec.kind!r}, not 'filtered_noise'")
@@ -160,6 +169,23 @@ def filtered_noise_modes(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray, n
     envelope = np.exp(-0.5 * (omegas * bandwidth) ** 2)
     amps = gains * envelope * np.sqrt(2.0 / n_modes)
     return amps, omegas, phases
+
+
+def _sine_sum(n: int, step: float, amps, omegas, phases) -> np.ndarray:
+    """``sum_q amps_q sin(omegas_q t + phases_q)`` at ``t = step * k``, ``k < n``.
+
+    Splits ``t = t0 + tau`` into a block start ``t0`` and an offset
+    ``tau`` of fewer than ``_SINE_BLOCK`` steps and uses
+    ``sin(w t + phi) = sin(w tau + phi) cos(w t0) + cos(w tau + phi) sin(w t0)``,
+    so the sum is two (B x K) by (K x n/B) matrix products and takes
+    ``B K + K n/B`` sines and cosines instead of ``n K``.
+    """
+    block = min(_SINE_BLOCK, n)
+    n_blocks = -(-n // block)
+    inner = (step * np.arange(block))[:, None] * omegas + phases
+    outer = (step * (block * np.arange(n_blocks)))[:, None] * omegas
+    values = (np.sin(inner) * amps) @ np.cos(outer).T + (np.cos(inner) * amps) @ np.sin(outer).T
+    return values.T.reshape(-1)[:n]
 
 
 def generator_params(spec: GeneratorSpec, field: str = "params") -> dict[str, object]:
@@ -229,8 +255,7 @@ def gen_covariate(spec: GeneratorSpec) -> GridFunction:
     if spec.kind == "self_similar":
         return GridFunction(0.0, spec.step, mode_family_values(params["terms"], times))
     # filtered_noise
-    amps, omegas, phases = filtered_noise_modes(spec)
-    values = np.sin(times[:, None] * omegas[None, :] + phases[None, :]) @ amps
+    values = _sine_sum(times.size, spec.step, *filtered_noise_modes(spec))
     return GridFunction(0.0, spec.step, values)
 
 

@@ -58,7 +58,14 @@ from typing import Callable
 import numpy as np
 
 from fcmlab import fileio
-from fcmlab.designs import GeneratorSpec, NoiseSpec, gen_covariate, gen_design, filtered_noise_modes
+from fcmlab.designs import (
+    GeneratorSpec,
+    NoiseSpec,
+    _sine_sum,
+    filtered_noise_modes,
+    gen_covariate,
+    gen_design,
+)
 from fcmlab.downsample import fit_flm, flm_row_residuals, to_flm
 from fcmlab.errors import NearSingularError
 from fcmlab.estimator import (
@@ -231,18 +238,20 @@ def _analytic_design(step: float, T: float, alpha: float, n: int, seed: int, par
     Covariates are filtered-noise draws; responses evaluate the true
     convolution model in closed form from the generator's spectral
     content, so refining the grid leaves the underlying data fixed and
-    isolates pure discretization error.
+    isolates pure discretization error. The response
+    ``Im sum_q A_q B(w_q) exp(i (w_q t + phi_q))`` is itself a sine sum,
+    with amplitudes ``A_q |B(w_q)|`` and phases ``phi_q + arg B(w_q)``,
+    so covariate and response go through the same ``_sine_sum``.
     """
     n_pts = round(T / step) + 1
-    times = step * np.arange(n_pts)
     observations = []
     for i in range(n):
         spec = GeneratorSpec("filtered_noise", T, step, seed=seed + 1009 * i, params=params)
         x = gen_covariate(spec)
         amps, omegas, phases = filtered_noise_modes(spec)
         B = _kernel_transform(_RECOVERY_TERMS, alpha, omegas)
-        carrier = np.exp(1j * (times[:, None] * omegas[None, :] + phases[None, :]))
-        y = _RECOVERY_INTERCEPT + (carrier * B[None, :]).imag @ amps
+        response = _sine_sum(n_pts, step, amps * np.abs(B), omegas, phases + np.angle(B))
+        y = _RECOVERY_INTERCEPT + response
         observations.append(Observation(GridFunction(0.0, step, y), (x,), ()))
     return Design(tuple(observations), (alpha,), step)
 

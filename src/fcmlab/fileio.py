@@ -45,7 +45,6 @@ __all__ = [
     "coefficients_to_dict",
     "coefficients_from_dict",
     "write_truth",
-    "read_truth",
     "fit_payload",
     "write_fit_result",
     "diagnosis_payload",
@@ -184,11 +183,6 @@ def write_truth(path, coef: CoefficientSet, simulation: Mapping[str, Any] | None
     if simulation is not None:
         payload["simulation"] = dict(simulation)
     _write_json(path, payload)
-
-
-def read_truth(path) -> CoefficientSet:
-    raw = json.loads(Path(path).read_text())
-    return coefficients_from_dict(raw.get("beta_true", {}), source=path)
 
 
 def fit_payload(result: FitResult) -> dict[str, Any]:

@@ -225,10 +225,13 @@ def read_grid_csv(path) -> GridFunction:
         raise ValidationError(
             f"non-finite entry {times[k]!r},{values[k]!r}", source=path, line=_sample_line(path, k)
         )
-    step = (t[-1] - t[0]) / (len(t) - 1)
-    if step <= 0.0:
-        raise ValidationError("times must be strictly increasing", source=path, line=2)
     gaps = np.diff(t)
+    bad = np.flatnonzero(gaps <= 0.0)
+    if bad.size:
+        raise ValidationError(
+            "times must be strictly increasing", source=path, line=_sample_line(path, int(bad[0]) + 1)
+        )
+    step = (t[-1] - t[0]) / (len(t) - 1)
     bad = np.nonzero(np.abs(gaps - step) > ALIGN_RTOL * step)[0]
     if bad.size:
         k = int(bad[0])

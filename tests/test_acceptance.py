@@ -13,9 +13,19 @@ reason instead of crashing the run.
 
 import sys
 
+import numpy as np
 import pytest
 
-from fcmlab.experiments import EXPERIMENT_NAMES, run_experiment
+from fcmlab.designs import GeneratorSpec, filtered_noise_modes
+from fcmlab.experiments import (
+    _RECOVERY_INTERCEPT,
+    _RECOVERY_PARAMS,
+    _RECOVERY_TERMS,
+    EXPERIMENT_NAMES,
+    _analytic_design,
+    _kernel_transform,
+    run_experiment,
+)
 
 
 @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
@@ -24,6 +34,21 @@ def test_criterion(name):
     report = "\n".join(result.lines())
     print(report)
     assert result.passed, report
+
+
+def test_analytic_responses_match_the_complex_carrier_closed_form():
+    # recovery-refinement's responses are Im sum_q A_q B(w_q) e^{i(w_q t + phi_q)};
+    # the design evaluates them as a sine sum with amplitude |B| and phase arg B.
+    step, T, alpha, seed = 1.0 / 32.0, 2.0, 0.5, 61
+    design = _analytic_design(step, T, alpha, n=3, seed=seed, params=_RECOVERY_PARAMS)
+    t = step * np.arange(round(T / step) + 1)
+    for i, obs in enumerate(design.observations):
+        spec = GeneratorSpec("filtered_noise", T, step, seed=seed + 1009 * i, params=_RECOVERY_PARAMS)
+        amps, omegas, phases = filtered_noise_modes(spec)
+        B = _kernel_transform(_RECOVERY_TERMS, alpha, omegas)
+        carrier = np.exp(1j * (t[:, None] * omegas + phases))
+        expected = _RECOVERY_INTERCEPT + (carrier * B).imag @ amps
+        assert np.max(np.abs(obs.y.values - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("child", ["missing", "failing"])

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from fcmlab.designs import (
+    _SINE_BLOCK,
     GeneratorSpec,
     NoiseSpec,
+    filtered_noise_modes,
     gen_covariate,
     gen_design,
     mode_family_values,
@@ -58,6 +60,25 @@ class TestGenCovariate:
             params={"n_modes": 16, "max_frequency": 3.0, "bandwidth": 0.05},
         )
         assert np.array_equal(gen_covariate(spec).values, gen_covariate(spec).values)
+
+    @pytest.mark.parametrize(
+        "n, step, params",
+        [
+            (_SINE_BLOCK // 2, 1.0 / 64.0, {"n_modes": 16, "max_frequency": 20.0}),
+            (_SINE_BLOCK, 1.0 / 64.0, {"n_modes": 16, "max_frequency": 20.0}),
+            (_SINE_BLOCK + 1, 1.0 / 64.0, {"n_modes": 16, "max_frequency": 20.0}),
+            # The broadband-large benchmark grid: T = 8, step 1/512, 256 modes.
+            (4097, 1.0 / 512.0, {"n_modes": 256, "max_frequency": 0.4 * 512.0}),
+        ],
+    )
+    def test_filtered_noise_matches_the_direct_sine_sum(self, n, step, params):
+        # The block angle-addition route against one sin of every w t + phi.
+        spec = GeneratorSpec("filtered_noise", (n - 1) * step, step, seed=301, params=params)
+        x = gen_covariate(spec)
+        amps, omegas, phases = filtered_noise_modes(spec)
+        direct = np.sin(x.times()[:, None] * omegas + phases) @ amps
+        assert x.values.shape == direct.shape == (n,)
+        assert np.max(np.abs(x.values - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError):

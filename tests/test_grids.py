@@ -210,6 +210,14 @@ class TestCsvRoundTrip:
         assert exc.value.line == 4
         assert "gap 0.5 vs step 0.6" in str(exc.value)
 
+    def test_decreasing_time_after_a_blank_line_reports_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,value\n\n1,0\n0,1\n")
+        with pytest.raises(ValidationError) as exc:
+            read_grid_csv(path)
+        assert exc.value.line == 4
+        assert "strictly increasing" in str(exc.value)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,val\n0.0,1.0\n0.5,2.0\n")
