@@ -15,62 +15,32 @@ verdict. The ``fcmlab`` command line wraps the same pipeline for batch
 use.
 """
 
-from fcmlab.designs import GeneratorSpec, NoiseSpec, gen_covariate, gen_design
-from fcmlab.downsample import fit_flm, to_flm
-from fcmlab.errors import (
-    ConformalityError,
-    FcmlabError,
-    GridError,
-    NearSingularError,
-    ValidationError,
-)
-from fcmlab.estimator import FitResult, GramSystem, assemble, fit
-from fcmlab.grids import GridFunction, read_grid_csv, write_grid_csv
-from fcmlab.identifiability import (
-    DiagnosisReport,
-    Mode,
-    SelfSimilarityReport,
-    SpectrumReport,
-    diagnose,
-    gram_spectrum,
-    quadratic_form,
-    self_similarity_residual,
-)
-from fcmlab.model import CoefficientSet, Design, Observation, predict, sse
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "GridFunction",
-    "read_grid_csv",
-    "write_grid_csv",
-    "Observation",
-    "Design",
-    "CoefficientSet",
-    "predict",
-    "sse",
-    "GramSystem",
-    "FitResult",
-    "assemble",
-    "fit",
-    "SpectrumReport",
-    "SelfSimilarityReport",
-    "DiagnosisReport",
-    "Mode",
-    "quadratic_form",
-    "gram_spectrum",
-    "self_similarity_residual",
-    "diagnose",
-    "GeneratorSpec",
-    "NoiseSpec",
-    "gen_covariate",
-    "gen_design",
-    "to_flm",
-    "fit_flm",
-    "FcmlabError",
-    "GridError",
-    "ConformalityError",
-    "ValidationError",
-    "NearSingularError",
-]
+# Every exported name, by the module that defines it. A name is imported
+# on first access (PEP 562), so ``import fcmlab`` loads no submodule and
+# each command loads only the layers it runs.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "grids": "GridFunction read_grid_csv write_grid_csv",
+        "model": "Observation Design CoefficientSet predict sse",
+        "estimator": "GramSystem FitResult assemble fit fit_flm",
+        "identifiability": "SpectrumReport SelfSimilarityReport DiagnosisReport Mode "
+        "quadratic_form gram_spectrum self_similarity_residual diagnose",
+        "designs": "GeneratorSpec NoiseSpec gen_covariate gen_design",
+        "downsample": "to_flm",
+        "errors": "FcmlabError GridError ConformalityError ValidationError NearSingularError",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)

@@ -10,6 +10,9 @@ system without ``--allow-rank-deficient``.
 Flags may also be supplied through ``--config file.json`` holding an
 object keyed by :class:`RunConfig` field (dashes or underscores), each
 value of that field's type; explicit flags win over config-file values.
+
+Each command imports the modules it runs inside its handler, so
+``simulate`` and ``downsample`` never load scipy.
 """
 
 from __future__ import annotations
@@ -22,13 +25,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from fcmlab import fileio
-from fcmlab.designs import gen_design
-from fcmlab.downsample import to_flm
 from fcmlab.errors import FcmlabError, NearSingularError, ValidationError
-from fcmlab.estimator import DEFAULT_SVD_RTOL, fit
-from fcmlab.experiments import EXPERIMENT_NAMES, run_all, run_experiment
-from fcmlab.identifiability import DEFAULT_RESIDUAL_TOL, diagnose
-from fcmlab.util import json_value
+from fcmlab.util import DEFAULT_RESIDUAL_TOL, DEFAULT_SVD_RTOL, json_value
 
 __all__ = ["RunConfig", "main"]
 
@@ -83,6 +81,8 @@ def _emit(payload: dict) -> None:
 
 
 def _cmd_simulate(config: RunConfig) -> int:
+    from fcmlab.designs import gen_design
+
     if not config.spec_path or not config.out_path:
         raise ValidationError("simulate needs --spec and --out")
     parsed, raw = fileio.read_simulation_spec(config.spec_path)
@@ -94,8 +94,10 @@ def _cmd_simulate(config: RunConfig) -> int:
     cov_specs, beta_true, noise, n, seed = parsed
     design, _ = gen_design(cov_specs, beta_true, noise, n, seed)
     out_dir = Path(config.out_path)
-    manifest = fileio.write_design(design, out_dir)
     truth = out_dir / "truth.json"
+    # An old truth.json must not outlive a design write that fails midway.
+    truth.unlink(missing_ok=True)
+    manifest = fileio.write_design(design, out_dir)
     fileio.write_truth(truth, beta_true, simulation=raw)
     _emit(
         {
@@ -109,6 +111,8 @@ def _cmd_simulate(config: RunConfig) -> int:
 
 
 def _cmd_fit(config: RunConfig) -> int:
+    from fcmlab.estimator import fit
+
     if not config.design_path or not config.out_path:
         raise ValidationError("fit needs --design and --out")
     design = fileio.read_design(config.design_path)
@@ -127,6 +131,8 @@ def _cmd_fit(config: RunConfig) -> int:
 
 
 def _cmd_diagnose(config: RunConfig) -> int:
+    from fcmlab.identifiability import diagnose
+
     if not config.design_path or not config.out_path:
         raise ValidationError("diagnose needs --design and --out")
     design = fileio.read_design(config.design_path)
@@ -148,6 +154,8 @@ def _cmd_diagnose(config: RunConfig) -> int:
 
 
 def _cmd_downsample(config: RunConfig) -> int:
+    from fcmlab.downsample import to_flm
+
     if not config.design_path or not config.out_path:
         raise ValidationError("downsample needs --design and --out")
     if config.U is None:
@@ -160,6 +168,8 @@ def _cmd_downsample(config: RunConfig) -> int:
 
 
 def _cmd_reproduce(config: RunConfig) -> int:
+    from fcmlab.experiments import EXPERIMENT_NAMES, run_all, run_experiment
+
     if config.list_experiments:
         for name in EXPERIMENT_NAMES:
             sys.stdout.write(name + "\n")

@@ -19,25 +19,23 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from fcmlab import model as model_mod
 from fcmlab.errors import ConformalityError, NearSingularError
 from fcmlab.grids import quadrature_weights
-from fcmlab.model import CoefficientIndexMap, CoefficientSet, Design, RowSet, delay_matrix
-from fcmlab.util import numerical_rank
+from fcmlab.model import CoefficientIndexMap, CoefficientSet, Design, RowSet, delay_matrix, sse
+from fcmlab.util import DEFAULT_SVD_RTOL, numerical_rank
 
 __all__ = [
     "GramSystem",
     "FitResult",
     "assemble",
+    "flm_normal_equations",
     "solve_direct",
     "solve_truncated_svd",
     "solve_penalized",
     "second_difference_operator",
     "fit",
-    "DEFAULT_SVD_RTOL",
+    "fit_flm",
 ]
-
-DEFAULT_SVD_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -112,6 +110,16 @@ def assemble(design: Design) -> GramSystem:
     return _normal_equations(design.rows(1), trapezoid=True)
 
 
+def flm_normal_equations(rows: RowSet) -> GramSystem:
+    """Normal equations ``A'A c = A'y`` of the down-sampled rows, without forming ``A``.
+
+    ``rows`` is :func:`fcmlab.downsample.to_flm`'s row set. Rows count
+    equally (no time quadrature); the entry weights are the lag
+    quadrature weights of :func:`assemble`.
+    """
+    return _normal_equations(rows, trapezoid=False)
+
+
 def _normal_equations(rows: RowSet, trapezoid: bool) -> GramSystem:
     """Normal equations of regression rows ``s`` grid steps apart.
 
@@ -160,15 +168,16 @@ def _normal_equations(rows: RowSet, trapezoid: bool) -> GramSystem:
         cols = [seg[L - a :: s] for seg, L, n in zip(segments, lags, n_first) for a in range(n)]
         R = np.vstack([Wt, Wt * y] + cols)
         for k, (seg, L) in enumerate(zip(segments, lags)):
-            H = delay_matrix(seg, L + r, L)
-            M = R @ H
+            # The delay matrix, the largest temporary, dies with this
+            # product, so only one is alive at a time.
+            M = R @ delay_matrix(seg, L + r, L)
             head[k] += np.outer(level, M[0])
             F[blocks[k]] += M[1]
             row = 2
             for j, n in enumerate(n_first):
                 first[j][k] += M[row : row + n]
                 row += n
-            ends[k].append(H[[0, -1]])
+            ends[k].append(delay_matrix(seg, L + r[[0, -1]], L))
     w = imap.lag_weights()
     U = [np.array(e)[:, 0].T for e in ends]
     V = [np.array(e)[:, 1].T for e in ends]
@@ -351,10 +360,24 @@ def fit(
     min_eig, max_eig = system.spectrum()[0][[0, -1]].tolist()
     return FitResult(
         coef=coef,
-        sse_value=model_mod.sse(design, coef),
+        sse_value=sse(design, coef),
         gram_min_eigenvalue=min_eig,
         gram_max_eigenvalue=max_eig,
         gram_condition=float("inf") if min_eig <= 0.0 else max_eig / min_eig,
         solver_used=solver,
         truncation_rank=truncation_rank,
     )
+
+
+def fit_flm(rows: RowSet, lam: float = 0.0) -> CoefficientSet:
+    """Least-squares fit of the down-sampled rows.
+
+    Minimizes the sum of squared row residuals plus ``lam`` times the
+    squared second differences of each lag kernel. Without a penalty a
+    rank-deficient normal matrix raises :class:`NearSingularError`;
+    with ``lam > 0`` the penalty usually restores uniqueness.
+    """
+    system = flm_normal_equations(rows)
+    if float(lam) == 0.0:
+        return solve_direct(system)
+    return solve_penalized(system, lam)

@@ -66,18 +66,18 @@ from fcmlab.designs import (
     gen_covariate,
     gen_design,
 )
-from fcmlab.downsample import fit_flm, flm_row_residuals, to_flm
+from fcmlab.downsample import flm_row_residuals, to_flm
 from fcmlab.errors import NearSingularError
 from fcmlab.estimator import (
     assemble,
     fit,
+    fit_flm,
     solve_direct,
     solve_penalized,
     solve_truncated_svd,
 )
 from fcmlab.grids import GridFunction, inner_product
 from fcmlab.identifiability import (
-    DEFAULT_RESIDUAL_TOL,
     delay_embed,
     diagnose,
     gram_spectrum,
@@ -85,7 +85,7 @@ from fcmlab.identifiability import (
     self_similarity_residual,
 )
 from fcmlab.model import CoefficientSet, Design, Observation, predict, sse
-from fcmlab.util import numerical_rank
+from fcmlab.util import DEFAULT_RESIDUAL_TOL, numerical_rank
 
 __all__ = ["Check", "ExperimentResult", "EXPERIMENT_NAMES", "run_experiment", "run_all"]
 

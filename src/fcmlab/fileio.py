@@ -17,15 +17,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
 
 from fcmlab.designs import GENERATOR_KINDS, GeneratorSpec, NoiseSpec, generator_params, mode_family_values
 from fcmlab.errors import FcmlabError, GridError, ValidationError
-from fcmlab.estimator import FitResult
 from fcmlab.grids import GridFunction, read_grid_csv, snap_to_index, write_grid_csv
-from fcmlab.identifiability import DiagnosisReport
 from fcmlab.model import CoefficientSet, Design, Observation, RowSet
 from fcmlab.util import (
     CELL_FORMAT,
@@ -36,6 +34,10 @@ from fcmlab.util import (
     reject_non_finite,
     write_csv,
 )
+
+if TYPE_CHECKING:
+    from fcmlab.estimator import FitResult
+    from fcmlab.identifiability import DiagnosisReport
 
 __all__ = [
     "FORMAT_VERSION",
@@ -70,10 +72,14 @@ def write_design(design: Design, out_dir) -> Path:
     """Write a design as ``manifest.json`` plus per-curve CSVs.
 
     Curves go to ``obs000/y.csv`` and ``obs000/x00.csv`` style paths
-    under ``out_dir``; returns the manifest path.
+    under ``out_dir``; returns the manifest path. An existing manifest is
+    removed before the first curve is written, so a write that fails
+    midway leaves no manifest naming a mix of old and new curves.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / "manifest.json"
+    path.unlink(missing_ok=True)
     observations = []
     for i, obs in enumerate(design.observations):
         obs_dir = out_dir / f"obs{i:03d}"
@@ -92,7 +98,6 @@ def write_design(design: Design, out_dir) -> Path:
         "lags": list(design.lags),
         "observations": observations,
     }
-    path = out_dir / "manifest.json"
     _write_json(path, manifest)
     return path
 
@@ -131,6 +136,7 @@ def read_design(manifest_path) -> Design:
             raise ValidationError("observation entry must be an object", source=manifest_path, field=field)
         y_rel = _require(entry, "y", str, f"{field}.y", manifest_path)
         x_rels = _require(entry, "x", list, f"{field}.x", manifest_path)
+        x_rels = [json_value(rel, str, f"{field}.x[{k}]", manifest_path) for k, rel in enumerate(x_rels)]
         z = json_value(entry.get("z", []), list, "z", manifest_path, f"{field}.z")
         z = tuple(json_value(v, float, f"{field}.z[{k}]", manifest_path) for k, v in enumerate(z))
         try:

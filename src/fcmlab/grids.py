@@ -25,7 +25,6 @@ from fcmlab.util import write_csv
 __all__ = [
     "GridFunction",
     "quadrature_weights",
-    "trapezoid_integral",
     "inner_product",
     "snap_to_index",
     "read_grid_csv",
@@ -157,11 +156,6 @@ def quadrature_weights(n: int, step: float) -> np.ndarray:
     w[0] = 0.5 * step
     w[-1] = 0.5 * step
     return w
-
-
-def trapezoid_integral(f: GridFunction) -> float:
-    """Trapezoid-rule integral of ``f`` over its whole domain."""
-    return float(quadrature_weights(len(f), f.step) @ f.values)
 
 
 def inner_product(f: GridFunction, g: GridFunction) -> float:

@@ -31,7 +31,7 @@ from fcmlab.errors import GridError, NearSingularError
 from fcmlab.estimator import GramSystem, _lag_shift_fill, assemble
 from fcmlab.grids import GridFunction, quadrature_weights, snap_to_index
 from fcmlab.model import CoefficientSet, Design, _predictions, delay_matrix
-from fcmlab.util import numerical_rank
+from fcmlab.util import DEFAULT_RESIDUAL_TOL, numerical_rank
 
 __all__ = [
     "SpectrumReport",
@@ -45,10 +45,7 @@ __all__ = [
     "recurrence_modes",
     "self_similarity_residual",
     "diagnose",
-    "DEFAULT_RESIDUAL_TOL",
 ]
-
-DEFAULT_RESIDUAL_TOL = 1e-8
 
 # Recurrence roots closer than this are merged into one repeated mode.
 ROOT_CLUSTER_TOL = 1e-6

@@ -20,6 +20,12 @@ _BLOCK_CELLS = 16384
 # integers as plain digits.
 CELL_FORMAT = "%.17g"
 
+# Default relative rank cuts: of the truncated and direct solvers in
+# `estimator`, and of the Gram spectrum and the recurrence residuals in
+# `identifiability`.
+DEFAULT_SVD_RTOL = 1e-10
+DEFAULT_RESIDUAL_TOL = 1e-8
+
 _JSON_TYPE_NAMES = {
     float: "a finite number",
     int: "an integer",

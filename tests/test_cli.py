@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from fcmlab import fileio
 from fcmlab.cli import _CONFIG_FIELDS, _build_parser, main
 from fcmlab.estimator import assemble
 from fcmlab.experiments import EXPERIMENT_NAMES
@@ -571,7 +572,7 @@ class TestErrorReporting:
         assert err["error"] == "ValidationError"
         assert not fit_path.exists()
 
-    @pytest.mark.parametrize("command", ["fit", "diagnose"])
+    @pytest.mark.parametrize("command", ["fit", "diagnose", "downsample"])
     @pytest.mark.parametrize(
         "key, text, field",
         [
@@ -581,24 +582,58 @@ class TestErrorReporting:
             ("z", '["nan"]', "observations[0].z[0]"),
             ("z", "[1e400]", "observations[0].z[0]"),
             ("lags", "[null, 1.0]", "lags[0]"),
+            ("x", "[5]", "observations[0].x[0]"),
+            ("x", "[null]", "observations[0].x[0]"),
+            ("x", '[["obs000/x00.csv"]]', "observations[0].x[0]"),
         ],
     )
-    def test_manifest_number_that_is_not_a_finite_number_exits_2(
+    def test_manifest_entry_of_the_wrong_type_exits_2(
         self, tmp_path, capsys, command, key, text, field
     ):
         # The entry goes into the manifest as raw JSON text, so 1e400
         # reaches the parser as written.
         manifest = simulate(tmp_path, capsys)
         raw = json.loads(manifest.read_text())
-        (raw["observations"][0] if key == "z" else raw)[key] = "@entry@"
+        (raw if key == "lags" else raw["observations"][0])[key] = "@entry@"
         manifest.write_text(json.dumps(raw).replace('"@entry@"', text))
         out = tmp_path / "out.json"
-        code = main([command, "--design", str(manifest), "--out", str(out)])
+        extra = ["--U", "0.25"] if command == "downsample" else []
+        code = main([command, "--design", str(manifest), "--out", str(out), *extra])
         err = single_error(capsys)
         assert code == 2
         assert err["error"] == "ValidationError"
         assert err["field"] == field
         assert not out.exists()
+
+    def test_interrupted_rerun_leaves_no_manifest_or_truth(self, tmp_path, capsys, monkeypatch):
+        # A rerun into a used directory that fails on its third curve has
+        # rewritten two curves; the old manifest must not name them beside
+        # the old ones.
+        manifest = simulate(tmp_path, capsys)
+        truth = manifest.parent / "truth.json"
+        assert truth.exists()
+        written = []
+        write_grid_csv = fileio.write_grid_csv
+
+        def fail_third(path, f):
+            written.append(path)
+            if len(written) == 3:
+                raise OSError("no space left on device")
+            write_grid_csv(path, f)
+
+        monkeypatch.setattr(fileio, "write_grid_csv", fail_third)
+        spec = write_spec(tmp_path, "rerun.json", seed=6)
+        code = main(["simulate", "--spec", str(spec), "--out", str(manifest.parent)])
+        assert code == 1
+        assert single_error(capsys)["error"] == "OSError"
+        assert len(written) == 3
+        assert not manifest.exists()
+        assert not truth.exists()
+        with pytest.raises(OSError):
+            read_design(manifest)
+        code = main(["fit", "--design", str(manifest), "--out", str(tmp_path / "f.json")])
+        assert code == 1
+        assert single_error(capsys)["error"] == "FileNotFoundError"
 
     @pytest.mark.parametrize(
         "overrides, field",

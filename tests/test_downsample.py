@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from fcmlab.designs import GeneratorSpec, NoiseSpec, gen_design
-from fcmlab.downsample import (
-    fit_flm,
-    flm_normal_equations,
-    flm_row_residuals,
-    to_flm,
-)
+from fcmlab.downsample import flm_row_residuals, to_flm
 from fcmlab.errors import GridError, NearSingularError
-from fcmlab.estimator import assemble, solve_direct
+from fcmlab.estimator import assemble, fit_flm, flm_normal_equations, solve_direct
 from fcmlab.grids import GridFunction, quadrature_weights
 from fcmlab.identifiability import delay_embed
 from fcmlab.model import CoefficientSet, Design, Observation

@@ -10,13 +10,17 @@ from fcmlab.grids import (
     quadrature_weights,
     read_grid_csv,
     snap_to_index,
-    trapezoid_integral,
     write_grid_csv,
 )
 
 
 def grid(step, values, start=0.0):
     return GridFunction(start, step, np.asarray(values, dtype=float))
+
+
+def integral(f):
+    """Trapezoid integral of ``f`` over its whole domain."""
+    return float(quadrature_weights(len(f), f.step) @ f.values)
 
 
 def on_unit_interval(step, fn):
@@ -68,23 +72,23 @@ class TestGridFunction:
 
 class TestTrapezoidIntegral:
     def test_constant_is_exact(self):
-        assert trapezoid_integral(on_unit_interval(0.1, lambda t: np.ones_like(t))) == pytest.approx(1.0, abs=1e-15)
+        assert integral(on_unit_interval(0.1, lambda t: np.ones_like(t))) == pytest.approx(1.0, abs=1e-15)
 
     def test_linear_is_exact(self):
-        assert trapezoid_integral(on_unit_interval(0.25, lambda t: t)) == pytest.approx(0.5, abs=1e-15)
+        assert integral(on_unit_interval(0.25, lambda t: t)) == pytest.approx(0.5, abs=1e-15)
 
     def test_quadratic_error_is_sixth_of_step_squared(self):
         # Trapezoid error for t^2 on [0,1] is exactly step^2/6, well
         # inside the documented step^2 envelope.
         for n in (4, 8, 16):
             h = 1.0 / n
-            val = trapezoid_integral(on_unit_interval(h, lambda t: t * t))
+            val = integral(on_unit_interval(h, lambda t: t * t))
             assert abs(val - 1.0 / 3.0) == pytest.approx(h * h / 6.0, rel=1e-12)
             assert abs(val - 1.0 / 3.0) <= h * h
 
     def test_single_sample_is_degenerate(self):
         with pytest.raises(GridError):
-            trapezoid_integral(grid(0.5, [1.0]))
+            integral(grid(0.5, [1.0]))
 
     def test_convergence_order_on_partial_period(self):
         # On [0, 0.75] the sine integral has a genuine O(step^2) error;
@@ -94,14 +98,14 @@ class TestTrapezoidIntegral:
         for n in (24, 48, 96):
             h = 0.75 / n
             t = h * np.arange(n + 1)
-            errs.append(abs(trapezoid_integral(grid(h, np.sin(2 * np.pi * t))) - exact))
+            errs.append(abs(integral(grid(h, np.sin(2 * np.pi * t))) - exact))
         assert errs[1] == pytest.approx(errs[0] / 4.0, rel=0.05)
         assert errs[2] == pytest.approx(errs[1] / 4.0, rel=0.05)
 
     def test_full_period_sine_stays_within_step_squared(self):
         for n in (8, 16, 32):
             h = 1.0 / n
-            val = trapezoid_integral(on_unit_interval(h, lambda t: np.sin(2 * np.pi * t)))
+            val = integral(on_unit_interval(h, lambda t: np.sin(2 * np.pi * t)))
             assert abs(val) <= h * h
 
     @given(
@@ -114,8 +118,8 @@ class TestTrapezoidIntegral:
         rng = np.random.default_rng(seed)
         f = grid(0.125, rng.standard_normal(9))
         g = grid(0.125, rng.standard_normal(9))
-        combined = trapezoid_integral(f.with_values(a * f.values + b * g.values))
-        expected = a * trapezoid_integral(f) + b * trapezoid_integral(g)
+        combined = integral(f.with_values(a * f.values + b * g.values))
+        expected = a * integral(f) + b * integral(g)
         assert combined == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
@@ -155,10 +159,12 @@ class TestQuadratureWeights:
         assert np.allclose(w, [0.125, 0.25, 0.25, 0.25, 0.125])
         assert w.sum() == pytest.approx(1.0)
 
-    def test_matches_integral(self):
+    def test_cubic_error_is_quarter_step_squared(self):
+        # Euler-Maclaurin: the error is step^2/12 (f'(1) - f'(0)) exactly,
+        # since the step^4 term vanishes for a constant third derivative.
         f = on_unit_interval(0.125, lambda t: t**3)
         w = quadrature_weights(len(f), f.step)
-        assert float(w @ f.values) == pytest.approx(trapezoid_integral(f), abs=1e-15)
+        assert float(w @ f.values) == pytest.approx(0.25 + 0.125**2 / 4.0, abs=1e-15)
 
 
 class TestSnapToIndex:

@@ -4,7 +4,7 @@ import pytest
 from fcmlab.designs import GeneratorSpec, NoiseSpec, gen_design
 from fcmlab.downsample import flm_row_residuals, to_flm
 from fcmlab.errors import ConformalityError, GridError
-from fcmlab.grids import GridFunction, trapezoid_integral
+from fcmlab.grids import GridFunction, quadrature_weights
 from fcmlab.identifiability import quadratic_form
 from fcmlab.model import (
     CoefficientSet,
@@ -119,14 +119,8 @@ class TestSse:
             (0.0,) * len(truth.beta0),
             tuple(b.with_values(np.zeros(len(b))) for b in truth.betas),
         )
-        energy = sum(
-            trapezoid_integral(
-                obs.y.restrict(design.alpha_star, obs.y.end).with_values(
-                    obs.y.restrict(design.alpha_star, obs.y.end).values ** 2
-                )
-            )
-            for obs in design.observations
-        )
+        windows = [obs.y.restrict(design.alpha_star, obs.y.end) for obs in design.observations]
+        energy = sum(quadrature_weights(len(f), f.step) @ f.values**2 for f in windows)
         assert sse(design, coef) == pytest.approx(energy, rel=1e-12)
 
     def test_nonnegative(self, noisy_design):
