@@ -26,7 +26,7 @@ from pathlib import Path
 
 from fcmlab import fileio
 from fcmlab.errors import FcmlabError, NearSingularError, ValidationError
-from fcmlab.util import DEFAULT_RESIDUAL_TOL, DEFAULT_SVD_RTOL, json_value
+from fcmlab.util import DEFAULT_RESIDUAL_TOL, DEFAULT_SVD_RTOL, json_value, read_json_object
 
 __all__ = ["RunConfig", "main"]
 
@@ -295,12 +295,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     file_values: dict = {}
     config_path = getattr(args, "config", None)
     if config_path:
-        try:
-            raw = json.loads(Path(config_path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid JSON: {exc}", source=config_path) from None
-        if not isinstance(raw, dict):
-            raise ValidationError("config file must hold a JSON object", source=config_path)
+        raw = read_json_object(config_path, "config file must hold a JSON object")
         for key, value in raw.items():
             name = key.replace("-", "_")
             kind = _CONFIG_FIELDS.get(name)

@@ -32,7 +32,6 @@ __all__ = [
     "solve_direct",
     "solve_truncated_svd",
     "solve_penalized",
-    "second_difference_operator",
     "fit",
     "fit_flm",
 ]
@@ -252,26 +251,6 @@ def solve_truncated_svd(
     return system.index_map.unpack(ct / S), rank
 
 
-def second_difference_operator(index_map: CoefficientIndexMap) -> np.ndarray:
-    """Stacked second-difference matrix acting on the lag-kernel blocks.
-
-    Intercept and scalar columns are untouched; each covariate block of
-    size ``n`` contributes ``n - 2`` rows of the ``[1, -2, 1]`` stencil
-    (blocks shorter than 3 samples contribute nothing).
-    """
-    rows = sum(max(s - 2, 0) for s in index_map.sizes)
-    D = np.zeros((rows, index_map.size))
-    r = 0
-    for j, s in enumerate(index_map.sizes):
-        if s < 3:
-            continue
-        block = np.diff(np.eye(s), n=2, axis=0)
-        sl = index_map.covariate_slice(j)
-        D[r : r + s - 2, sl] = block
-        r += s - 2
-    return D
-
-
 def solve_penalized(system: GramSystem, lam: float) -> CoefficientSet:
     """Solve ``(G + lam * D'D) c = F`` with a second-difference penalty.
 
@@ -286,9 +265,21 @@ def solve_penalized(system: GramSystem, lam: float) -> CoefficientSet:
     lam = float(lam)
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ValueError(f"penalty weight must be finite and nonnegative, got {lam!r}")
-    D = second_difference_operator(system.index_map)
-    penalized = replace(system, G=system.G + lam * (D.T @ D))
+    penalized = replace(system, G=_add_curvature_penalty(system.G, system.index_map, lam))
     return system.index_map.unpack(_solve_or_raise(penalized, "sym"))
+
+
+def _add_curvature_penalty(G: np.ndarray, index_map: CoefficientIndexMap, lam: float) -> np.ndarray:
+    """``G + lam * D'D``, ``D`` the ``[1, -2, 1]`` stencil, added block by block to a copy of ``G``.
+
+    ``D'D`` lives inside the kernel blocks, so no temporary is wider than a block.
+    """
+    G = np.array(G)
+    for j, size in enumerate(index_map.sizes):
+        block = index_map.covariate_slice(j)
+        D = np.diff(np.eye(size), n=2, axis=0)
+        G[block, block] += lam * (D.T @ D)
+    return G
 
 
 def _solve_or_raise(system: GramSystem, assume_a: str) -> np.ndarray:

@@ -31,6 +31,7 @@ from fcmlab.util import (
     block_rows,
     json_entry,
     json_value,
+    read_json_object,
     reject_non_finite,
     write_csv,
 )
@@ -111,12 +112,7 @@ def _require(mapping: Mapping[str, Any], key: str, kind, field: str, source) -> 
 def read_design(manifest_path) -> Design:
     """Read and validate a design manifest and its curve CSVs."""
     manifest_path = Path(manifest_path)
-    try:
-        raw = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON: {exc}", source=manifest_path) from None
-    if not isinstance(raw, dict):
-        raise ValidationError("manifest must be a JSON object", source=manifest_path)
+    raw = read_json_object(manifest_path, "manifest must be a JSON object")
     version = _require(raw, "format_version", int, "format_version", manifest_path)
     if version != FORMAT_VERSION:
         raise ValidationError(
@@ -443,8 +439,5 @@ def _parse_simulation_spec(raw: Mapping[str, Any], source):
 
 def read_simulation_spec(path):
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON: {exc}", source=path) from None
+    raw = read_json_object(path, "simulation spec must be a JSON object")
     return parse_simulation_spec(raw, source=path), raw

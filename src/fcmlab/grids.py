@@ -14,13 +14,12 @@ round trips).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from fcmlab.errors import GridError, ValidationError
-from fcmlab.util import write_csv
+from fcmlab.util import read_text, write_csv
 
 __all__ = [
     "GridFunction",
@@ -179,52 +178,47 @@ def write_grid_csv(path, f: GridFunction) -> None:
 def read_grid_csv(path) -> GridFunction:
     """Read a ``t,value`` CSV written on a uniform, strictly increasing grid.
 
-    Every entry must be a finite number, and spacing is validated to a
-    relative tolerance of 1e-9; violations raise :class:`ValidationError`
-    with the offending line number.
+    Empty lines are skipped. Every entry must be an unquoted finite number,
+    and spacing is validated to a relative tolerance of 1e-9; violations
+    raise :class:`ValidationError` with the offending line number.
     """
-    times: list[float] = []
-    values: list[float] = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError("empty file", source=path, line=1) from None
-        if [c.strip() for c in header] != list(_CSV_HEADER):
-            raise ValidationError(
-                f"expected header 't,value', got {','.join(header)!r}", source=path, line=1
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValidationError(
-                    f"expected 2 fields, got {len(row)}", source=path, line=lineno
-                )
+    text = read_text(path)
+    if not text:
+        raise ValidationError("empty file", source=path, line=1)
+    header, *lines = text.split("\n")
+    if [c.strip() for c in header.split(",")] != list(_CSV_HEADER):
+        raise ValidationError(f"expected header 't,value', got {header!r}", source=path, line=1)
+    # Rows stay strings, and the cells one flat list: a list per row would
+    # keep thousands of containers alive and wake the garbage collector.
+    rows = [line for line in lines if line]
+    linenos = [lineno for lineno, line in enumerate(lines, start=2) if line]
+    cells = ",".join(rows).split(",") if rows else []
+    try:
+        samples = np.array(cells, dtype=float).reshape(len(rows), 2)
+    except ValueError:
+        samples = None
+    if samples is None or any(row.count(",") != 1 for row in rows):
+        for lineno, row in zip(linenos, rows):  # the first row that is not two numbers
+            fields = row.split(",")
+            if len(fields) != 2:
+                raise ValidationError(f"expected 2 fields, got {len(fields)}", source=path, line=lineno)
             try:
-                times.append(float(row[0]))
-                values.append(float(row[1]))
+                np.array(fields, dtype=float)
             except ValueError:
-                raise ValidationError(
-                    f"non-numeric entry {row!r}", source=path, line=lineno
-                ) from None
-    if len(times) < 2:
+                raise ValidationError(f"non-numeric entry {fields!r}", source=path, line=lineno) from None
+    if len(samples) < 2:
         raise ValidationError("need at least two samples", source=path)
-    t = np.asarray(times)
-    v = np.asarray(values)
-    bad = np.flatnonzero(~(np.isfinite(t) & np.isfinite(v)))
+    t, v = samples.T
+    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
     if bad.size:
         k = int(bad[0])
         raise ValidationError(
-            f"non-finite entry {times[k]!r},{values[k]!r}", source=path, line=_sample_line(path, k)
+            f"non-finite entry {float(t[k])!r},{float(v[k])!r}", source=path, line=linenos[k]
         )
     gaps = np.diff(t)
     bad = np.flatnonzero(gaps <= 0.0)
     if bad.size:
-        raise ValidationError(
-            "times must be strictly increasing", source=path, line=_sample_line(path, int(bad[0]) + 1)
-        )
+        raise ValidationError("times must be strictly increasing", source=path, line=linenos[int(bad[0]) + 1])
     step = (t[-1] - t[0]) / (len(t) - 1)
     bad = np.nonzero(np.abs(gaps - step) > ALIGN_RTOL * step)[0]
     if bad.size:
@@ -232,14 +226,6 @@ def read_grid_csv(path) -> GridFunction:
         raise ValidationError(
             f"non-uniform spacing: gap {float(gaps[k])!r} vs step {float(step)!r}",
             source=path,
-            line=_sample_line(path, k + 1),
+            line=linenos[k + 1],
         )
     return GridFunction(float(t[0]), float(step), v)
-
-
-def _sample_line(path, k: int) -> int:
-    """File line of sample ``k`` of a grid CSV, counting past the header and blank lines."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader)
-        return [reader.line_num for row in reader if row][k]

@@ -1,7 +1,8 @@
-"""Small shared helpers: atomic file and CSV writes, JSON value checks, rank counting."""
+"""Small shared helpers: input text and JSON reads, atomic file and CSV writes, JSON value checks, rank counting."""
 
 from __future__ import annotations
 
+import json
 import os
 import secrets
 import sys
@@ -33,6 +34,36 @@ _JSON_TYPE_NAMES = {
     str: "a string",
     list: "a list",
 }
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of ``path``, with ``\\r\\n`` and ``\\r`` read as ``\\n`` (universal newlines).
+
+    Bytes that are not UTF-8 raise :class:`ValidationError` naming the file and their line.
+    """
+    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"not UTF-8 text: {exc.reason}", source=path, line=line) from None
+
+
+def read_json_object(path, not_an_object: str) -> dict:
+    """Parse the JSON file ``path``, which must hold an object (else raise ``not_an_object``).
+
+    Every failure, undecodable bytes and too deep nesting included, is a
+    :class:`ValidationError` naming ``path``.
+    """
+    try:
+        raw = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"invalid JSON: {exc}", source=path) from None
+    except RecursionError:
+        raise ValidationError("invalid JSON: nested too deeply", source=path) from None
+    if not isinstance(raw, dict):
+        raise ValidationError(not_an_object, source=path)
+    return raw
 
 
 def atomic_write(path, chunks: Iterable[str]) -> None:

@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 
 from fcmlab.designs import GeneratorSpec, NoiseSpec, gen_design
-from fcmlab.grids import GridFunction
+from fcmlab.errors import ValidationError
+from fcmlab.grids import ALIGN_RTOL, GridFunction
 from fcmlab.model import CoefficientIndexMap, CoefficientSet, Design, Observation, RowSet, delay_matrix
 
 
@@ -119,3 +122,68 @@ def flm_rows(data: RowSet) -> tuple[np.ndarray, np.ndarray]:
     z = np.concatenate([np.tile(z, (y.size, 1)) for z, y, _ in data.observations])
     y = np.concatenate([y for _, y, _ in data.observations])
     return dense_rows(data.index_map, z, flm_windows(data)), y
+
+
+# The reference curve reader: `csv.reader` with one `float()` per cell,
+# and a second parse of the file to find a sample's line. The tests
+# compare `read_grid_csv`, which reads and parses each file once, with it.
+
+
+def csv_reader_grid(path) -> GridFunction:
+    """Read a ``t,value`` curve CSV the way ``csv.reader`` splits it."""
+    times: list[float] = []
+    values: list[float] = []
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError("empty file", source=path, line=1) from None
+        if [c.strip() for c in header] != ["t", "value"]:
+            raise ValidationError(
+                f"expected header 't,value', got {','.join(header)!r}", source=path, line=1
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ValidationError(f"expected 2 fields, got {len(row)}", source=path, line=lineno)
+            try:
+                times.append(float(row[0]))
+                values.append(float(row[1]))
+            except ValueError:
+                raise ValidationError(f"non-numeric entry {row!r}", source=path, line=lineno) from None
+    if len(times) < 2:
+        raise ValidationError("need at least two samples", source=path)
+    t = np.asarray(times)
+    v = np.asarray(values)
+    bad = np.flatnonzero(~(np.isfinite(t) & np.isfinite(v)))
+    if bad.size:
+        k = int(bad[0])
+        raise ValidationError(
+            f"non-finite entry {times[k]!r},{values[k]!r}", source=path, line=_sample_line(path, k)
+        )
+    gaps = np.diff(t)
+    bad = np.flatnonzero(gaps <= 0.0)
+    if bad.size:
+        raise ValidationError(
+            "times must be strictly increasing", source=path, line=_sample_line(path, int(bad[0]) + 1)
+        )
+    step = (t[-1] - t[0]) / (len(t) - 1)
+    bad = np.nonzero(np.abs(gaps - step) > ALIGN_RTOL * step)[0]
+    if bad.size:
+        k = int(bad[0])
+        raise ValidationError(
+            f"non-uniform spacing: gap {float(gaps[k])!r} vs step {float(step)!r}",
+            source=path,
+            line=_sample_line(path, k + 1),
+        )
+    return GridFunction(float(t[0]), float(step), v)
+
+
+def _sample_line(path, k: int) -> int:
+    """File line of sample ``k`` of a curve CSV, counting past the header and blank lines."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        return [reader.line_num for row in reader if row][k]

@@ -738,6 +738,42 @@ class TestErrorReporting:
         assert err["line"] == 9
         assert err["source"].endswith(curve)
 
+    @pytest.mark.parametrize("kind", ["curve", "manifest", "spec", "config"])
+    def test_undecodable_input_exits_2_naming_its_file_and_line(self, tmp_path, capsys, kind):
+        manifest = simulate(tmp_path, capsys)
+        spec, config = tmp_path / "spec.json", tmp_path / "cfg.json"
+        spec.write_text(json.dumps(base_spec(), indent=1))
+        config.write_text(json.dumps({"solver": "svd"}, indent=1))
+        bad = {"curve": manifest.parent / "obs001" / "y.csv", "manifest": manifest, "spec": spec, "config": config}[kind]
+        bad.write_bytes(bad.read_bytes().replace(b"\n", b"\n\xff", 1))
+        if kind == "spec":
+            argv = ["simulate", "--spec", str(spec), "--out", str(tmp_path / "again")]
+        else:
+            argv = ["fit", "--design", str(manifest), "--out", str(tmp_path / "f.json")]
+
+        code = main([*argv, "--config", str(config)])
+        err = single_error(capsys)
+        assert code == 2
+        assert err["error"] == "ValidationError"
+        assert err["source"] == str(bad)
+        assert err["line"] == 2
+
+    @pytest.mark.parametrize("kind", ["manifest", "spec", "config"])
+    def test_deeply_nested_json_exits_2_naming_its_file(self, tmp_path, capsys, kind):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        out = str(tmp_path / "out")
+        argv = {
+            "manifest": ["fit", "--design", str(deep), "--out", out],
+            "spec": ["simulate", "--spec", str(deep), "--out", out],
+            "config": ["fit", "--config", str(deep)],
+        }[kind]
+        code = main(argv)
+        err = single_error(capsys)
+        assert code == 2
+        assert err["error"] == "ValidationError"
+        assert err["source"] == str(deep)
+
     def test_output_colliding_with_input_exits_2(self, tmp_path, capsys):
         manifest = simulate(tmp_path, capsys)
         code = main(["fit", "--design", str(manifest), "--out", str(manifest)])

@@ -14,7 +14,6 @@ from fcmlab.estimator import (
     fit,
     fit_flm,
     flm_normal_equations,
-    second_difference_operator,
     solve_direct,
     solve_penalized,
     solve_truncated_svd,
@@ -360,30 +359,41 @@ class TestSolvePenalized:
         assert exc.value.max_eig == pytest.approx(evals[-1], rel=1e-12)
 
 
-class TestSecondDifferenceOperator:
+class TestCurvaturePenalty:
+    """The penalty ``solve_penalized`` adds to ``G``: ``P`` with ``c'Pc = |Dc|^2``."""
+
+    @staticmethod
+    def penalty(imap):
+        return estimator._add_curvature_penalty(np.zeros((imap.size, imap.size)), imap, 1.0)
+
     def test_annihilates_linear_kernels(self):
         imap = CoefficientIndexMap.from_parts(1, (0.5, 0.75), 0.125)
-        D = second_difference_operator(imap)
         c = np.zeros(imap.size)
         c[0], c[1] = 3.0, -2.0
         for j, slope, level in ((0, 1.5, 0.2), (1, -0.7, 1.0)):
             sl = imap.covariate_slice(j)
             c[sl] = level + slope * 0.125 * np.arange(imap.sizes[j])
-        assert np.max(np.abs(D @ c)) < 1e-12
+        assert np.max(np.abs(self.penalty(imap) @ c)) < 1e-12
 
     def test_ignores_intercept_and_scalars(self):
         imap = CoefficientIndexMap.from_parts(2, (0.5,), 0.125)
-        D = second_difference_operator(imap)
-        assert np.all(D[:, : imap.d + 1] == 0.0)
+        P = self.penalty(imap)
+        assert np.all(P[:, : imap.d + 1] == 0.0)
+        assert np.all(P[: imap.d + 1, :] == 0.0)
 
     def test_detects_curvature(self):
         imap = CoefficientIndexMap.from_parts(0, (0.5,), 0.125)
-        D = second_difference_operator(imap)
         c = np.zeros(imap.size)
-        sl = imap.covariate_slice(0)
         u = 0.125 * np.arange(imap.sizes[0])
-        c[sl] = u**2
-        assert np.max(np.abs(D @ c)) > 0.0
+        c[imap.covariate_slice(0)] = u**2
+        assert c @ self.penalty(imap) @ c > 0.0
+
+    def test_is_added_to_a_copy(self, noisy_design):
+        system = assemble(noisy_design[0])
+        G = system.G.copy()
+        P = self.penalty(system.index_map)
+        assert np.array_equal(estimator._add_curvature_penalty(system.G, system.index_map, 0.5), G + 0.5 * P)
+        assert np.array_equal(system.G, G)
 
 
 class TestIndexMap:

@@ -13,6 +13,8 @@ from fcmlab.grids import (
     write_grid_csv,
 )
 
+from conftest import csv_reader_grid
+
 
 def grid(step, values, start=0.0):
     return GridFunction(start, step, np.asarray(values, dtype=float))
@@ -236,3 +238,94 @@ class TestCsvRoundTrip:
         with pytest.raises(ValidationError) as exc:
             read_grid_csv(path)
         assert exc.value.line == 3
+
+    def test_undecodable_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"t,value\r\n0,1\r\n0.5,\xff\r\n1,3\r\n")
+        with pytest.raises(ValidationError) as exc:
+            read_grid_csv(path)
+        assert exc.value.source == path
+        assert exc.value.line == 3
+        assert "UTF-8" in str(exc.value)
+
+    def test_quoted_cell_is_non_numeric(self, tmp_path):
+        # csv.reader unwrapped quotes; the reader takes unquoted numbers only.
+        path = tmp_path / "quoted.csv"
+        path.write_text('t,value\n0,1\n"0.5",2\n1,3\n')
+        with pytest.raises(ValidationError) as exc:
+            read_grid_csv(path)
+        assert exc.value.line == 3
+        assert str(exc.value).endswith("""non-numeric entry ['"0.5"', '2']""")
+
+
+# Edits of a well-formed curve text, each applied to line `k` of the
+# data rows (taken modulo their number).
+_CELL_WORDS = ["abc", "", "1.0.0", "0x1", "nan", "inf", "-inf", "Infinity", "-nan", "1e400"]
+
+
+def _edit(rows: list[list[str]], kind: str, k: int, word: str, pad: str, step: float) -> None:
+    if not rows:
+        return
+    k %= len(rows)
+    row = rows[k]
+    if kind == "drop":
+        del rows[k]
+    elif kind == "blank":
+        rows.insert(k, [])
+    elif kind == "space":
+        rows.insert(k, [pad or " "])
+    elif kind == "extra":
+        row.append("1")
+    elif kind == "missing" and row:
+        row.pop()
+    elif kind == "word" and row:
+        row[k % len(row)] = word
+    elif kind == "swap" and k + 1 < len(rows) and rows[k + 1] and row:
+        row[0], rows[k + 1][0] = rows[k + 1][0], row[0]
+    elif kind == "jitter" and row:
+        try:
+            row[0] = "%.17g" % (float(row[0]) + 0.01 * step)
+        except ValueError:
+            pass
+    elif kind == "pad" and row:
+        row[-1] = pad + row[-1] + pad
+
+
+@st.composite
+def curve_texts(draw):
+    """A ``t,value`` CSV text, well formed or broken in a few places."""
+    n = draw(st.integers(2, 6))
+    start = draw(st.sampled_from([0.0, -0.5, 1.25]))
+    step = draw(st.sampled_from([0.125, 0.1, 1.0 / 3.0]))
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    rows = [["%.17g" % (start + k * step), "%.17g" % v] for k, v in enumerate(values)]
+    edits = st.tuples(
+        st.sampled_from(["drop", "blank", "space", "extra", "missing", "word", "swap", "jitter", "pad"]),
+        st.integers(0, 8),
+        st.sampled_from(_CELL_WORDS),
+        st.sampled_from(["", " ", "\t", "  "]),
+    )
+    for kind, k, word, pad in draw(st.lists(edits, max_size=3)):
+        _edit(rows, kind, k, word, pad, step)
+    header = draw(st.sampled_from(["t,value"] * 4 + [" t , value ", "t,value\t", "time,value", "t,value,x"]))
+    lines = [header] + [",".join(row) for row in rows]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text[: -len(ends[-1])]
+
+
+def _outcome(read, path):
+    try:
+        g = read(path)
+    except ValidationError as exc:
+        return "error", str(exc), exc.line
+    return "grid", g.start.hex(), g.step.hex(), g.values.tobytes()
+
+
+class TestReaderMatchesCsvReader:
+    @given(text=curve_texts())
+    @settings(max_examples=250, deadline=None)
+    def test_same_grid_or_same_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("curve") / "curve.csv"
+        path.write_bytes(text.encode())
+        assert _outcome(read_grid_csv, path) == _outcome(csv_reader_grid, path)
