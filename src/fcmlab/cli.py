@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from fcmlab import fileio
-from fcmlab.errors import FcmlabError, NearSingularError, ValidationError
+from fcmlab.errors import FcmlabError, NearSingularError, ValidationError, naming
 from fcmlab.util import DEFAULT_RESIDUAL_TOL, DEFAULT_SVD_RTOL, json_value, read_json_object
 
 __all__ = ["RunConfig", "main"]
@@ -92,7 +92,8 @@ def _cmd_simulate(config: RunConfig) -> int:
         raw = {**raw, "seed": config.seed}
         parsed = fileio.parse_simulation_spec(raw, source=config.spec_path)
     cov_specs, beta_true, noise, n, seed = parsed
-    design, _ = gen_design(cov_specs, beta_true, noise, n, seed)
+    with naming(config.spec_path):
+        design, _ = gen_design(cov_specs, beta_true, noise, n, seed)
     out_dir = Path(config.out_path)
     truth = out_dir / "truth.json"
     # An old truth.json must not outlive a design write that fails midway.
@@ -296,12 +297,13 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     config_path = getattr(args, "config", None)
     if config_path:
         raw = read_json_object(config_path, "config file must hold a JSON object")
-        for key, value in raw.items():
-            name = key.replace("-", "_")
-            kind = _CONFIG_FIELDS.get(name)
-            if kind is None:
-                raise ValidationError(f"unknown config key {key!r}", source=config_path, field=key)
-            file_values[name] = json_value(value, kind, key, config_path)
+        with naming(config_path):
+            for key, value in raw.items():
+                name = key.replace("-", "_")
+                kind = _CONFIG_FIELDS.get(name)
+                if kind is None:
+                    raise ValidationError(f"unknown config key {key!r}", field=key)
+                file_values[name] = json_value(value, kind, key)
     flags = {name: getattr(args, name, None) for name in _CONFIG_FIELDS}
     config = replace(_DEFAULTS, command=args.command, **file_values)
     return replace(config, **{name: v for name, v in flags.items() if v is not None})

@@ -312,6 +312,8 @@ def gen_design(
             raise ValidationError("all covariate specs must share T and step")
     d = len(beta_true.beta0) - 1
     lags = tuple(b.domain_length for b in beta_true.betas)
+    if T < max(lags) + (1.0 - ALIGN_RTOL) * step:  # as `Design` checks, before any curve is made
+        raise ValidationError(f"T={T!r} leaves no room beyond the largest lag {max(lags)!r}", field="T")
     observations = []
     for i in range(n):
         xs = tuple(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class FcmlabError(Exception):
     """Base class for every error raised by this package."""
@@ -46,6 +48,28 @@ class ValidationError(FcmlabError, ValueError):
         prefix = ", ".join(parts)
         base = super().__str__()
         return f"{prefix}: {base}" if prefix else base
+
+
+@contextmanager
+def naming(source, field: str | None = None):
+    """Attribute every error raised inside the block to the input file ``source``.
+
+    A :class:`ValidationError` that names no file gets ``source``, and
+    ``field`` when it names none; any other :class:`FcmlabError` becomes
+    a :class:`ValidationError` with its message, ``source`` and ``field``.
+    Each reader wraps the file it reads once, so the checks below it name
+    only the JSON path of what they reject.
+    """
+    try:
+        yield
+    except ValidationError as exc:
+        if exc.source is None:
+            exc.source = source
+            if exc.field is None:
+                exc.field = field
+        raise
+    except FcmlabError as exc:
+        raise ValidationError(str(exc), source=source, field=field) from None
 
 
 class NearSingularError(FcmlabError, RuntimeError):

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 import numpy as np
 
 from fcmlab.designs import GENERATOR_KINDS, GeneratorSpec, NoiseSpec, generator_params, mode_family_values
-from fcmlab.errors import FcmlabError, GridError, ValidationError
+from fcmlab.errors import GridError, ValidationError, naming
 from fcmlab.grids import GridFunction, read_grid_csv, snap_to_index, write_grid_csv
 from fcmlab.model import CoefficientSet, Design, Observation, RowSet
 from fcmlab.util import (
@@ -46,7 +46,6 @@ __all__ = [
     "write_design",
     "read_design",
     "coefficients_to_dict",
-    "coefficients_from_dict",
     "write_truth",
     "fit_payload",
     "write_fit_result",
@@ -103,51 +102,41 @@ def write_design(design: Design, out_dir) -> Path:
     return path
 
 
-def _require(mapping: Mapping[str, Any], key: str, kind, field: str, source) -> Any:
-    if key not in mapping:
-        raise ValidationError(f"missing required key {key!r}", source=source, field=field)
-    return json_value(mapping[key], kind, key, source, field)
-
-
 def read_design(manifest_path) -> Design:
     """Read and validate a design manifest and its curve CSVs."""
     manifest_path = Path(manifest_path)
     raw = read_json_object(manifest_path, "manifest must be a JSON object")
-    version = _require(raw, "format_version", int, "format_version", manifest_path)
-    if version != FORMAT_VERSION:
-        raise ValidationError(
-            f"unsupported format_version {version}", source=manifest_path, field="format_version"
-        )
-    step = _require(raw, "step", float, "step", manifest_path)
-    lags = _require(raw, "lags", list, "lags", manifest_path)
-    lags = tuple(json_value(a, float, f"lags[{k}]", manifest_path) for k, a in enumerate(lags))
-    entries = _require(raw, "observations", list, "observations", manifest_path)
-    if not entries:
-        raise ValidationError("no observations listed", source=manifest_path, field="observations")
-    base = manifest_path.parent
-    observations = []
-    for i, entry in enumerate(entries):
-        field = f"observations[{i}]"
-        if not isinstance(entry, dict):
-            raise ValidationError("observation entry must be an object", source=manifest_path, field=field)
-        y_rel = _require(entry, "y", str, f"{field}.y", manifest_path)
-        x_rels = _require(entry, "x", list, f"{field}.x", manifest_path)
-        x_rels = [json_value(rel, str, f"{field}.x[{k}]", manifest_path) for k, rel in enumerate(x_rels)]
-        z = json_value(entry.get("z", []), list, "z", manifest_path, f"{field}.z")
-        z = tuple(json_value(v, float, f"{field}.z[{k}]", manifest_path) for k, v in enumerate(z))
-        try:
-            y = read_grid_csv(base / y_rel)
-            xs = tuple(read_grid_csv(base / rel) for rel in x_rels)
-        except OSError as exc:
-            raise ValidationError(f"cannot read curve file: {exc}", source=manifest_path, field=field) from None
-        try:
-            observations.append(Observation(y, xs, z))
-        except FcmlabError as exc:
-            raise ValidationError(str(exc), source=manifest_path, field=field) from None
-    try:
+    with naming(manifest_path):
+        version = json_entry(raw, "format_version", int)
+        if version != FORMAT_VERSION:
+            raise ValidationError(f"unsupported format_version {version}", field="format_version")
+        step = json_entry(raw, "step", float)
+        lags = json_entry(raw, "lags", list)
+        lags = tuple(json_value(a, float, f"lags[{k}]") for k, a in enumerate(lags))
+        entries = json_entry(raw, "observations", list)
+        if not entries:
+            raise ValidationError("no observations listed", field="observations")
+        base = manifest_path.parent
+        observations = []
+        for i, entry in enumerate(entries):
+            field = f"observations[{i}]"
+            with naming(manifest_path, field):
+                if not isinstance(entry, dict):
+                    raise ValidationError("observation entry must be an object")
+                y_rel = json_entry(entry, "y", str, field=field)
+                x_rels = json_entry(entry, "x", list, field=field)
+                x_rels = [json_value(rel, str, f"{field}.x[{k}]") for k, rel in enumerate(x_rels)]
+                z = json_entry(entry, "z", list, [], field)
+                z = tuple(json_value(v, float, f"{field}.z[{k}]") for k, v in enumerate(z))
+                try:
+                    y = read_grid_csv(base / y_rel)
+                    xs = tuple(read_grid_csv(base / rel) for rel in x_rels)
+                except OSError as exc:
+                    raise ValidationError(
+                        f"cannot read curve file: {exc}", source=manifest_path, field=field
+                    ) from None
+                observations.append(Observation(y, xs, z))
         return Design(tuple(observations), lags, step)
-    except FcmlabError as exc:
-        raise ValidationError(str(exc), source=manifest_path) from None
 
 
 def coefficients_to_dict(coef: CoefficientSet) -> dict[str, Any]:
@@ -158,23 +147,6 @@ def coefficients_to_dict(coef: CoefficientSet) -> dict[str, Any]:
             for b in coef.betas
         ],
     }
-
-
-def coefficients_from_dict(raw: Mapping[str, Any], source=None) -> CoefficientSet:
-    beta0 = _require(raw, "beta0", list, "beta0", source)
-    betas_raw = _require(raw, "betas", list, "betas", source)
-    betas = []
-    for j, b in enumerate(betas_raw):
-        if not isinstance(b, dict):
-            raise ValidationError("kernel entry must be an object", source=source, field=f"betas[{j}]")
-        betas.append(
-            GridFunction(
-                _require(b, "start", float, f"betas[{j}].start", source),
-                _require(b, "step", float, f"betas[{j}].step", source),
-                np.asarray(_require(b, "values", list, f"betas[{j}].values", source), dtype=float),
-            )
-        )
-    return CoefficientSet(tuple(float(v) for v in beta0), tuple(betas))
 
 
 def write_truth(path, coef: CoefficientSet, simulation: Mapping[str, Any] | None = None) -> None:
@@ -329,112 +301,95 @@ def parse_simulation_spec(raw: Mapping[str, Any], source=None):
     Returns ``(cov_specs, beta_true, noise, n, seed)`` ready for
     :func:`fcmlab.designs.gen_design`. Lag kernels are given either as
     inline ``values`` arrays or as mode-family ``terms`` evaluated on
-    the lag grid. Every :class:`ValidationError` names ``source``.
+    the lag grid. Every error is a :class:`ValidationError` naming ``source``.
     """
-    try:
-        return _parse_simulation_spec(raw, source)
-    except ValidationError as exc:
-        if exc.source is None:
-            exc.source = source
-        raise
-
-
-def _parse_simulation_spec(raw: Mapping[str, Any], source):
-    if not isinstance(raw, Mapping):
-        raise ValidationError("simulation spec must be a JSON object", source=source)
-    reject_non_finite(raw, source)
-    version = _require(raw, "format_version", int, "format_version", source)
-    if version != FORMAT_VERSION:
-        raise ValidationError(f"unsupported format_version {version}", source=source)
-    step = _require(raw, "step", float, "step", source)
-    if step <= 0.0:
-        raise ValidationError("step must be positive", source=source, field="step")
-    T = _require(raw, "T", float, "T", source)
-    n = _require(raw, "n", int, "n", source)
-    seed = _require(raw, "seed", int, "seed", source)
-    lags = _require(raw, "lags", list, "lags", source)
-    if not lags:
-        raise ValidationError("at least one lag is required", source=source, field="lags")
-    cov_raw = _require(raw, "covariates", list, "covariates", source)
-    if len(cov_raw) != len(lags):
-        raise ValidationError(
-            f"{len(cov_raw)} covariates for {len(lags)} lags", source=source, field="covariates"
-        )
-    cov_specs = []
-    for j, entry in enumerate(cov_raw):
-        if not isinstance(entry, dict):
-            raise ValidationError("covariate entry must be an object", source=source, field=f"covariates[{j}]")
-        kind = _require(entry, "kind", str, f"covariates[{j}].kind", source)
-        if kind not in GENERATOR_KINDS:
-            raise ValidationError(
-                f"unknown covariate kind {kind!r}, expected one of {GENERATOR_KINDS}",
-                source=source,
-                field=f"covariates[{j}].kind",
-            )
-        params = entry.get("params", {})
-        if not isinstance(params, Mapping):
-            raise ValidationError("params must be an object", source=source, field=f"covariates[{j}].params")
-        spec = GeneratorSpec(
-            kind=kind,
-            T=T,
-            step=step,
-            seed=_require(entry, "seed", int, f"covariates[{j}].seed", source)
-            if "seed" in entry
-            else seed + 97 * (j + 1),
-            params=params,
-        )
-        generator_params(spec, f"covariates[{j}].params")
-        cov_specs.append(spec)
-    beta0 = _require(raw, "beta0", list, "beta0", source)
-    beta0 = [json_value(v, float, f"beta0[{k}]", source) for k, v in enumerate(beta0)]
-    betas_raw = _require(raw, "betas", list, "betas", source)
-    if len(betas_raw) != len(lags):
-        raise ValidationError(
-            f"{len(betas_raw)} lag kernels for {len(lags)} lags", source=source, field="betas"
-        )
-    betas = []
-    for j, (entry, alpha) in enumerate(zip(betas_raw, lags)):
-        if not isinstance(entry, dict):
-            raise ValidationError("kernel entry must be an object", source=source, field=f"betas[{j}]")
-        alpha = json_value(alpha, float, f"lags[{j}]", source)
-        try:
-            m = snap_to_index(alpha / step)
-        except GridError:
-            m = 0  # off the grid: rejected below like a nonpositive lag
-        if m < 1:
-            raise ValidationError(
-                f"lag {alpha!r} is not a positive multiple of the step",
-                source=source,
-                field=f"lags[{j}]",
-            )
-        times = step * np.arange(m + 1)
-        if "values" in entry:
-            at = f"betas[{j}].values"
-            values = _require(entry, "values", list, at, source)
-            values = np.array([json_value(v, float, f"{at}[{q}]", source) for q, v in enumerate(values)])
-            if values.size != m + 1:
+    with naming(source):
+        if not isinstance(raw, Mapping):
+            raise ValidationError("simulation spec must be a JSON object")
+        reject_non_finite(raw)
+        version = json_entry(raw, "format_version", int)
+        if version != FORMAT_VERSION:
+            raise ValidationError(f"unsupported format_version {version}")
+        step = json_entry(raw, "step", float)
+        if step <= 0.0:
+            raise ValidationError("step must be positive", field="step")
+        T = json_entry(raw, "T", float)
+        n = json_entry(raw, "n", int)
+        seed = _seed(json_entry(raw, "seed", int), "seed")
+        lags = json_entry(raw, "lags", list)
+        if not lags:
+            raise ValidationError("at least one lag is required", field="lags")
+        cov_raw = json_entry(raw, "covariates", list)
+        if len(cov_raw) != len(lags):
+            raise ValidationError(f"{len(cov_raw)} covariates for {len(lags)} lags", field="covariates")
+        cov_specs = []
+        for j, entry in enumerate(cov_raw):
+            at = f"covariates[{j}]"
+            if not isinstance(entry, dict):
+                raise ValidationError("covariate entry must be an object", field=at)
+            kind = json_entry(entry, "kind", str, field=at)
+            if kind not in GENERATOR_KINDS:
                 raise ValidationError(
-                    f"kernel needs {m + 1} samples for lag {alpha!r}, got {values.size}",
-                    source=source,
-                    field=f"betas[{j}].values",
+                    f"unknown covariate kind {kind!r}, expected one of {GENERATOR_KINDS}", field=f"{at}.kind"
                 )
-        elif "terms" in entry:
-            values = mode_family_values(entry["terms"], times, f"betas[{j}].terms")
-        else:
-            raise ValidationError(
-                "kernel entry needs 'values' or 'terms'", source=source, field=f"betas[{j}]"
-            )
-        betas.append(GridFunction(0.0, step, values))
-    noise_raw = raw.get("noise", {})
-    if not isinstance(noise_raw, Mapping):
-        raise ValidationError("noise must be an object", source=source, field="noise")
-    noise = NoiseSpec(
-        kind=json_entry(noise_raw, "kind", str, "white", "noise", source),
-        sd=json_entry(noise_raw, "sd", float, 0.0, "noise", source),
-        ar_coefficient=json_entry(noise_raw, "ar_coefficient", float, 0.0, "noise", source),
-    )
-    beta_true = CoefficientSet(tuple(beta0), tuple(betas))
-    return cov_specs, beta_true, noise, n, seed
+            params = entry.get("params", {})
+            if not isinstance(params, Mapping):
+                raise ValidationError("params must be an object", field=f"{at}.params")
+            cov_seed = _seed(json_entry(entry, "seed", int, seed + 97 * (j + 1), at), f"{at}.seed")
+            spec = GeneratorSpec(kind=kind, T=T, step=step, seed=cov_seed, params=params)
+            generator_params(spec, f"{at}.params")
+            cov_specs.append(spec)
+        beta0 = json_entry(raw, "beta0", list)
+        beta0 = [json_value(v, float, f"beta0[{k}]") for k, v in enumerate(beta0)]
+        if not beta0:
+            raise ValidationError("beta0 must at least contain the intercept", field="beta0")
+        betas_raw = json_entry(raw, "betas", list)
+        if len(betas_raw) != len(lags):
+            raise ValidationError(f"{len(betas_raw)} lag kernels for {len(lags)} lags", field="betas")
+        betas = []
+        for j, (entry, alpha) in enumerate(zip(betas_raw, lags)):
+            at = f"betas[{j}]"
+            if not isinstance(entry, dict):
+                raise ValidationError("kernel entry must be an object", field=at)
+            alpha = json_value(alpha, float, f"lags[{j}]")
+            try:
+                m = snap_to_index(alpha / step)
+            except GridError:
+                m = 0  # off the grid: rejected below like a nonpositive lag
+            if m < 1:
+                raise ValidationError(
+                    f"lag {alpha!r} is not a positive multiple of the step", field=f"lags[{j}]"
+                )
+            times = step * np.arange(m + 1)
+            if "values" in entry:
+                values = json_entry(entry, "values", list, field=at)
+                values = np.array([json_value(v, float, f"{at}.values[{q}]") for q, v in enumerate(values)])
+                if values.size != m + 1:
+                    raise ValidationError(
+                        f"kernel needs {m + 1} samples for lag {alpha!r}, got {values.size}",
+                        field=f"{at}.values",
+                    )
+            elif "terms" in entry:
+                values = mode_family_values(entry["terms"], times, f"{at}.terms")
+            else:
+                raise ValidationError("kernel entry needs 'values' or 'terms'", field=at)
+            betas.append(GridFunction(0.0, step, values))
+        noise_raw = raw.get("noise", {})
+        if not isinstance(noise_raw, Mapping):
+            raise ValidationError("noise must be an object", field="noise")
+        noise = NoiseSpec(
+            kind=json_entry(noise_raw, "kind", str, "white", "noise"),
+            sd=json_entry(noise_raw, "sd", float, 0.0, "noise"),
+            ar_coefficient=json_entry(noise_raw, "ar_coefficient", float, 0.0, "noise"),
+        )
+        return cov_specs, CoefficientSet(tuple(beta0), tuple(betas)), noise, n, seed
+
+
+def _seed(seed: int, field: str) -> int:
+    """``seed`` if it can seed a random generator (numpy takes no negative seed)."""
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}", field=field)
+    return seed
 
 
 def read_simulation_spec(path):

@@ -113,38 +113,48 @@ def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> Non
     atomic_write(path, blocks())
 
 
-def json_value(value, kind: type, key: str, source=None, field: str | None = None):
+def json_value(value, kind: type, key: str, field: str | None = None):
     """Return the parsed JSON ``value`` if it has type ``kind``.
 
     A boolean is never a number. ``float`` accepts any finite JSON number,
     integers included, and returns a float; ``int`` accepts JSON integers
-    only. Otherwise raises :class:`ValidationError` naming ``key`` and
-    the JSON path ``field`` (default ``key``).
+    only; a ``str`` holds no NUL byte, which no file path may hold. Otherwise
+    raises :class:`ValidationError` naming ``key`` and the JSON path
+    ``field`` (default ``key``).
     """
+    field = key if field is None else field
     if kind is float:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             if abs(value) <= sys.float_info.max:  # false for nan, inf and huge integers
                 return float(value)
     elif isinstance(value, kind) and (kind is bool) == isinstance(value, bool):
+        if kind is str and "\0" in value:
+            raise ValidationError(f"NUL byte in {key!r}", field=field)
         return value
     raise ValidationError(
-        f"expected {_JSON_TYPE_NAMES[kind]} for {key!r}, got {type(value).__name__}",
-        source=source,
-        field=key if field is None else field,
+        f"expected {_JSON_TYPE_NAMES[kind]} for {key!r}, got {type(value).__name__}", field=field
     )
 
 
-def json_entry(mapping: Mapping, key: str, kind: type, default, field: str, source=None):
-    """:func:`json_value` of ``mapping[key]``, or ``default`` when the key is absent.
+# The default of a key that :func:`json_entry` requires.
+_REQUIRED = object()
 
-    Errors name the JSON path ``field.key``.
+
+def json_entry(mapping: Mapping, key: str, kind: type, default=_REQUIRED, field: str = ""):
+    """:func:`json_value` of ``mapping[key]``; ``default`` when the key is absent.
+
+    A key with no ``default`` is required. Errors name the JSON path
+    ``field.key`` (``key`` itself when ``field`` is empty).
     """
-    if key not in mapping:
-        return default
-    return json_value(mapping[key], kind, key, source, f"{field}.{key}")
+    path = f"{field}.{key}" if field else key
+    if key in mapping:
+        return json_value(mapping[key], kind, key, path)
+    if default is _REQUIRED:
+        raise ValidationError(f"missing required key {key!r}", field=path)
+    return default
 
 
-def reject_non_finite(value, source=None, field: str = "") -> None:
+def reject_non_finite(value, field: str = "") -> None:
     """Raise :class:`ValidationError` at the first non-finite number in ``value``.
 
     Walks parsed JSON objects and lists; the error names the JSON path of
@@ -152,12 +162,12 @@ def reject_non_finite(value, source=None, field: str = "") -> None:
     """
     if isinstance(value, Mapping):
         for key, item in value.items():
-            reject_non_finite(item, source, f"{field}.{key}" if field else str(key))
+            reject_non_finite(item, f"{field}.{key}" if field else str(key))
     elif isinstance(value, list):
         for k, item in enumerate(value):
-            reject_non_finite(item, source, f"{field}[{k}]")
+            reject_non_finite(item, f"{field}[{k}]")
     elif isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
-        raise ValidationError(f"{value!r} is not a finite number", source=source, field=field)
+        raise ValidationError(f"{value!r} is not a finite number", field=field)
 
 
 def numerical_rank(values: np.ndarray, tol: float) -> int:

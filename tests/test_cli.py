@@ -6,15 +6,23 @@ exercised exactly as a shell user would hit them.
 """
 
 import argparse
+import contextlib
+import copy
+import functools
+import io
 import json
+import operator
 import os
 import re
+import shutil
 import stat
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcmlab import fileio
 from fcmlab.cli import _CONFIG_FIELDS, _build_parser, main
@@ -163,6 +171,15 @@ class TestSimulateFitPipeline:
         assert {"manifest.json", "truth.json", "obs000/x00.csv"} <= {str(p) for p in files}
         for name in files:
             assert (flagged / name).read_bytes() == (edited / name).read_bytes(), name
+
+    def test_negative_seed_flag_exits_2_naming_the_spec(self, tmp_path, capsys):
+        spec = write_spec(tmp_path)
+        out_dir = tmp_path / "design"
+        code = main(["simulate", "--spec", str(spec), "--out", str(out_dir), "--seed", "-1"])
+        err = single_error(capsys)
+        assert code == 2
+        assert (err["error"], err["field"], err["source"]) == ("ValidationError", "seed", str(spec))
+        assert not out_dir.exists()
 
 
 class TestDiagnoseCommand:
@@ -443,6 +460,9 @@ class TestConfigFile:
             ("fit", "lam", float("nan")),
             ("fit", "allow_rank_deficient", "false"),
             ("simulate", "seed", 1.5),
+            ("fit", "design_path", "design\0.json"),
+            ("fit", "out_path", "fit\0.json"),
+            ("simulate", "spec_path", "spec\0.json"),
         ],
     )
     def test_config_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, command, key, value):
@@ -585,6 +605,8 @@ class TestErrorReporting:
             ("x", "[5]", "observations[0].x[0]"),
             ("x", "[null]", "observations[0].x[0]"),
             ("x", '[["obs000/x00.csv"]]', "observations[0].x[0]"),
+            ("x", '["obs000/x00\\u0000.csv"]', "observations[0].x[0]"),
+            ("y", '"obs000/y\\u0000.csv"', "observations[0].y"),
         ],
     )
     def test_manifest_entry_of_the_wrong_type_exits_2(
@@ -707,6 +729,11 @@ class TestErrorReporting:
             ({"lags": [], "covariates": [], "betas": [], "step": 0.0}, "step"),
             ({"T": 1.55}, "T"),
             ({"covariates": [{"kind": "orthogonal_counterexample"}]}, "T"),
+            ({"n": 0}, "n"),
+            ({"T": 0.5}, "T"),
+            ({"beta0": []}, "beta0"),
+            ({"seed": -1}, "seed"),
+            ({"covariates": [{"kind": "filtered_noise", "seed": -5}]}, "covariates[0].seed"),
         ],
     )
     def test_spec_entry_of_the_wrong_type_exits_2_and_writes_nothing(
@@ -830,6 +857,128 @@ class TestErrorReporting:
         err = json.loads(capsys.readouterr().err)
         assert code == 1
         assert err["error"] == "FileNotFoundError"
+
+
+# Values swapped into a mutated JSON entry: every JSON type, a NUL byte,
+# and only small numbers, since a huge `T` or `n_modes` asks for
+# gigabytes and no check bounds the size of a design.
+_SWAPS = [None, "", "x", "a\0b", [], {}, True, 0, 1, -1, 0.5, 2]
+# Cells swapped into a mutated curve CSV line.
+_CELLS = ["", "x", "nan", "inf", "1e400", "a\0b", '"1"', "-1"]
+# Errors of the options once resolved (`RunConfig.validate` and the
+# "needs --flag" checks) name the option, not the file that set it.
+_OPTION_FIELDS = {"lambda", "tol", "svd-tol", "U", "solver"}
+_OPTION_MESSAGES = re.compile(r" needs --|collides with an input path|must be distinct")
+
+
+def _json_paths(doc, prefix=()):
+    """Every path (a tuple of keys and indices) into the parsed JSON ``doc``."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_json(draw, doc):
+    """``doc`` with one to three entries dropped, negated or swapped for another value."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_json_paths(doc))
+        if not paths:
+            break
+        *at, key = draw(st.sampled_from(paths))
+        parent = functools.reduce(operator.getitem, at, doc)
+        op = draw(st.sampled_from(["drop", "negate", "swap"]))
+        if op == "drop":
+            del parent[key]
+        elif op == "negate" and isinstance(parent[key], (int, float)):
+            parent[key] = -parent[key] if not isinstance(parent[key], bool) else not parent[key]
+        else:
+            parent[key] = draw(st.sampled_from(_SWAPS))
+    return doc
+
+
+@st.composite
+def mutated_csv(draw, text):
+    """``text`` with one to three lines dropped, repeated or given a swapped cell."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "repeat", "cell"]))
+        if op == "drop" and len(lines) > 1:
+            del lines[k]
+        elif op == "repeat":
+            lines.insert(k, lines[k])
+        else:
+            cells = lines[k].split(",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(_CELLS))
+            lines[k] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A small spec and the design it simulates, for :class:`TestMutatedInputs` to mutate."""
+    base = tmp_path_factory.mktemp("fuzz_base")
+    spec = base_spec(covariates=[{"kind": "filtered_noise", "seed": 7, "params": {"n_modes": 8}}])
+    (base / "spec.json").write_text(json.dumps(spec))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--spec", str(base / "spec.json"), "--out", str(base / "design")]) == 0
+    return spec, base / "design"
+
+
+class TestMutatedInputs:
+    """Fuzz the CLI contract over mutated specs, manifests, config files and curve CSVs."""
+
+    @pytest.mark.parametrize("kind", ["spec", "manifest", "config", "curve"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_every_input_gets_one_json_line_and_a_contract_exit(self, tmp_path_factory, fuzz_inputs, kind, data):
+        spec, design = fuzz_inputs
+        work = tmp_path_factory.mktemp("fuzz")
+        shutil.copytree(design, work / "design")
+        manifest = work / "design" / "manifest.json"
+        fit = ["fit", "--design", str(manifest), "--out", "out.json"]
+        if kind == "spec":
+            (work / "spec.json").write_text(json.dumps(data.draw(mutated_json(spec))))
+            argv = ["simulate", "--spec", "spec.json", "--out", "sim"]
+        elif kind == "manifest":
+            manifest.write_text(json.dumps(data.draw(mutated_json(json.loads(manifest.read_text())))))
+            argv = data.draw(st.sampled_from([fit, ["diagnose", *fit[1:]], ["downsample", *fit[1:], "--U", "0.25"]]))
+        elif kind == "config":
+            (work / "spec.json").write_text(json.dumps(spec))
+            configs = [
+                ("simulate", {"spec_path": "spec.json", "out_path": "sim", "seed": 3}),
+                ("fit", {"design-path": str(manifest), "out_path": "out.json", "solver": "svd", "svd-tol": 1e-10}),
+                ("fit", {"design_path": str(manifest), "out_path": "out.json", "solver": "ridge", "lam": 1e-6}),
+            ]
+            command, config = data.draw(st.sampled_from(configs))
+            (work / "cfg.json").write_text(json.dumps(data.draw(mutated_json(config))))
+            argv = [command, "--config", "cfg.json"]
+        else:
+            curve = data.draw(st.sampled_from(sorted(manifest.parent.rglob("*.csv"))))
+            curve.write_text(data.draw(mutated_csv(curve.read_text())))
+            argv = fit
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        lines = (out if code == 0 else err).getvalue().splitlines()
+        assert len(lines) == 1 and not (err if code == 0 else out).getvalue()
+        payload = strict_json(lines[0])
+        if code == 2:
+            option_error = payload.get("field") in _OPTION_FIELDS or _OPTION_MESSAGES.search(payload["message"])
+            assert "source" in payload or option_error, payload
+        if code != 0 and argv[0] == "simulate":
+            assert [path for path in work.rglob("manifest.json") if path != manifest] == []
 
 
 class TestReproduceCommand:
