@@ -9,10 +9,11 @@ system without ``--allow-rank-deficient``.
 
 Flags may also be supplied through ``--config file.json`` holding an
 object keyed by :class:`RunConfig` field (dashes or underscores), each
-value of that field's type; explicit flags win over config-file values.
+value of that field's type and range; explicit flags win over
+config-file values.
 
 Each command imports the modules it runs inside its handler, so
-``simulate`` and ``downsample`` never load scipy.
+``simulate``, ``downsample`` and ``reproduce --list`` never load scipy.
 """
 
 from __future__ import annotations
@@ -61,19 +62,27 @@ class RunConfig:
                 raise ValidationError(f"output path {out!r} collides with an input path")
         if len(outputs) != len(set(outputs)):
             raise ValidationError("output paths must be distinct")
-        if not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValidationError("--lambda must be finite and nonnegative", field="lambda")
-        if not 0.0 < self.tol < 1.0:
-            raise ValidationError("--tol must lie in (0, 1)", field="tol")
-        if not 0.0 < self.svd_rel_tol <= 1.0:
-            raise ValidationError("--svd-tol must lie in (0, 1]", field="svd-tol")
-        if self.U is not None and not (math.isfinite(self.U) and self.U > 0.0):
-            raise ValidationError("--U must be finite and positive", field="U")
-        if self.solver not in _SOLVERS:
-            raise ValidationError(
-                f"unknown solver {self.solver!r}, expected one of {sorted(_SOLVERS)}",
-                field="solver",
-            )
+        for f in fields(self):
+            _check_option(f.name, getattr(self, f.name))
+
+
+def _check_option(name: str, value) -> None:
+    """Reject an out-of-range ``value`` of option ``name``, naming the option's flag.
+
+    Only ``lam``, ``tol``, ``svd_rel_tol``, ``U`` and ``solver`` have a range.
+    """
+    if name == "lam" and not (math.isfinite(value) and value >= 0.0):
+        raise ValidationError("--lambda must be finite and nonnegative", field="lambda")
+    if name == "tol" and not 0.0 < value < 1.0:
+        raise ValidationError("--tol must lie in (0, 1)", field="tol")
+    if name == "svd_rel_tol" and not 0.0 < value <= 1.0:
+        raise ValidationError("--svd-tol must lie in (0, 1]", field="svd-tol")
+    if name == "U" and value is not None and not (math.isfinite(value) and value > 0.0):
+        raise ValidationError("--U must be finite and positive", field="U")
+    if name == "solver" and value not in _SOLVERS:
+        raise ValidationError(
+            f"unknown solver {value!r}, expected one of {sorted(_SOLVERS)}", field="solver"
+        )
 
 
 def _emit(payload: dict) -> None:
@@ -85,12 +94,7 @@ def _cmd_simulate(config: RunConfig) -> int:
 
     if not config.spec_path or not config.out_path:
         raise ValidationError("simulate needs --spec and --out")
-    parsed, raw = fileio.read_simulation_spec(config.spec_path)
-    if config.seed is not None:
-        # Covariate seeds derive from the spec's seed while it is parsed,
-        # so the override is parsed too, and truth.json records it.
-        raw = {**raw, "seed": config.seed}
-        parsed = fileio.parse_simulation_spec(raw, source=config.spec_path)
+    parsed, raw = fileio.read_simulation_spec(config.spec_path, config.seed)
     cov_specs, beta_true, noise, n, seed = parsed
     with naming(config.spec_path):
         design, _ = gen_design(cov_specs, beta_true, noise, n, seed)
@@ -304,6 +308,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
                 if kind is None:
                     raise ValidationError(f"unknown config key {key!r}", field=key)
                 file_values[name] = json_value(value, kind, key)
+                _check_option(name, file_values[name])
     flags = {name: getattr(args, name, None) for name in _CONFIG_FIELDS}
     config = replace(_DEFAULTS, command=args.command, **file_values)
     return replace(config, **{name: v for name, v in flags.items() if v is not None})

@@ -36,7 +36,7 @@ from typing import Mapping
 import numpy as np
 
 from fcmlab.errors import GridError, ValidationError
-from fcmlab.grids import ALIGN_RTOL, GridFunction, snap_to_index
+from fcmlab.grids import ALIGN_RTOL, GridFunction, sample_times, snap_to_index
 from fcmlab.model import CoefficientSet, Design, Observation, _lag_sum
 from fcmlab.util import json_entry, json_value
 
@@ -144,7 +144,7 @@ def mode_family_values(terms, times: np.ndarray, field: str = "terms") -> np.nda
 
 def _grid_times(spec: GeneratorSpec) -> np.ndarray:
     n = snap_to_index(spec.T / spec.step, what=f"domain length {spec.T!r}") + 1
-    return spec.step * np.arange(n)
+    return sample_times(spec.step, n, "T")
 
 
 def filtered_noise_modes(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

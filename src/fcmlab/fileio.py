@@ -23,7 +23,7 @@ import numpy as np
 
 from fcmlab.designs import GENERATOR_KINDS, GeneratorSpec, NoiseSpec, generator_params, mode_family_values
 from fcmlab.errors import GridError, ValidationError, naming
-from fcmlab.grids import GridFunction, read_grid_csv, snap_to_index, write_grid_csv
+from fcmlab.grids import GridFunction, read_grid_csv, sample_times, snap_to_index, write_grid_csv
 from fcmlab.model import CoefficientSet, Design, Observation, RowSet
 from fcmlab.util import (
     CELL_FORMAT,
@@ -360,7 +360,7 @@ def parse_simulation_spec(raw: Mapping[str, Any], source=None):
                 raise ValidationError(
                     f"lag {alpha!r} is not a positive multiple of the step", field=f"lags[{j}]"
                 )
-            times = step * np.arange(m + 1)
+            times = sample_times(step, m + 1, f"lags[{j}]")
             if "values" in entry:
                 values = json_entry(entry, "values", list, field=at)
                 values = np.array([json_value(v, float, f"{at}.values[{q}]") for q, v in enumerate(values)])
@@ -392,7 +392,14 @@ def _seed(seed: int, field: str) -> int:
     return seed
 
 
-def read_simulation_spec(path):
+def read_simulation_spec(path, seed: int | None = None):
+    """Parse the spec file ``path``, its ``seed`` replaced by ``seed`` when given.
+
+    Returns the parsed spec and the raw object it was parsed from, which
+    carries the replaced seed.
+    """
     path = Path(path)
     raw = read_json_object(path, "simulation spec must be a JSON object")
+    if seed is not None:
+        raw = {**raw, "seed": seed}
     return parse_simulation_spec(raw, source=path), raw

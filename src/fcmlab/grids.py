@@ -26,6 +26,7 @@ __all__ = [
     "quadrature_weights",
     "inner_product",
     "snap_to_index",
+    "sample_times",
     "read_grid_csv",
     "write_grid_csv",
 ]
@@ -140,6 +141,20 @@ def snap_to_index(pos: float, what: str = "value") -> int:
     if abs(pos - k) > ALIGN_RTOL * max(1.0, abs(pos)):
         raise GridError(f"{what} is not an integer multiple of the grid step (got {pos!r} steps)")
     return int(k)
+
+
+def sample_times(step: float, count: int, field: str) -> np.ndarray:
+    """``step * arange(count)``: the first ``count`` times of a grid from 0.
+
+    A grid too large to allocate raises :class:`ValidationError` naming
+    the JSON path ``field`` that asked for it.
+    """
+    try:
+        return step * np.arange(count)
+    except (MemoryError, ValueError):  # numpy refuses a huge size with a ValueError
+        raise ValidationError(
+            f"a grid of {count:.3g} samples is too large to allocate", field=field
+        ) from None
 
 
 def quadrature_weights(n: int, step: float) -> np.ndarray:

@@ -60,7 +60,7 @@ def test_determinism_fails_with_detail_when_a_child_fails(tmp_path, monkeypatch,
     monkeypatch.setattr(sys, "executable", str(executable))
     result = run_experiment("determinism")
     blas = result.checks[-1]
-    assert blas.label == "BLAS thread count does not change results"
+    assert blas.label == "fresh interpreters on 1- and 2-thread BLAS reproduce this bundle byte for byte"
     assert not blas.passed
     assert "1-thread child" in blas.detail
     if child == "failing":

@@ -474,6 +474,30 @@ class TestConfigFile:
         assert err["error"] == "ValidationError"
         assert err["field"] == key
 
+    @pytest.mark.parametrize("overridden", [False, True])
+    @pytest.mark.parametrize(
+        "command, key, value, flag, field, message",
+        [
+            ("diagnose", "tol", 2, ["--tol", "0.5"], "tol", "--tol must lie in (0, 1)"),
+            ("fit", "solver", "x", ["--solver", "svd"], "solver", "unknown solver 'x'"),
+            ("fit", "lam", -1, ["--lambda", "0"], "lambda", "--lambda must be finite and nonnegative"),
+            ("fit", "svd_rel_tol", 0, ["--svd-tol", "0.5"], "svd-tol", "--svd-tol must lie in (0, 1]"),
+            ("downsample", "U", 0, ["--U", "0.25"], "U", "--U must be finite and positive"),
+        ],
+    )
+    def test_config_value_out_of_range_exits_2_naming_the_config(
+        self, tmp_path, capsys, command, key, value, flag, field, message, overridden
+    ):
+        # The value is checked as the file is read, with the flag's message
+        # and field, so a flag that overrides it does not hide it.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = main([command, "--config", str(cfg), *(flag if overridden else [])])
+        err = single_error(capsys)
+        assert code == 2
+        assert (err["error"], err["field"], err["source"]) == ("ValidationError", field, str(cfg))
+        assert message in err["message"]
+
 
 class TestArgumentErrors:
     @pytest.mark.parametrize(
@@ -734,6 +758,18 @@ class TestErrorReporting:
             ({"beta0": []}, "beta0"),
             ({"seed": -1}, "seed"),
             ({"covariates": [{"kind": "filtered_noise", "seed": -5}]}, "covariates[0].seed"),
+            # Grids of 8e14 samples or more at step 0.125, far beyond any
+            # address space, so their allocation fails at once.
+            ({"T": 1e14}, "T"),
+            ({"T": 1e300}, "T"),
+            (
+                {
+                    "lags": [1e14, 1.0],
+                    "covariates": [{"kind": "sinusoid_rich"}, {"kind": "sinusoid_rich"}],
+                    "betas": [{"terms": [{}]}, {"terms": [{}]}],
+                },
+                "lags[0]",
+            ),
         ],
     )
     def test_spec_entry_of_the_wrong_type_exits_2_and_writes_nothing(
@@ -865,9 +901,8 @@ class TestErrorReporting:
 _SWAPS = [None, "", "x", "a\0b", [], {}, True, 0, 1, -1, 0.5, 2]
 # Cells swapped into a mutated curve CSV line.
 _CELLS = ["", "x", "nan", "inf", "1e400", "a\0b", '"1"', "-1"]
-# Errors of the options once resolved (`RunConfig.validate` and the
-# "needs --flag" checks) name the option, not the file that set it.
-_OPTION_FIELDS = {"lambda", "tol", "svd-tol", "U", "solver"}
+# Errors across options (a missing "needs --flag" option, colliding
+# output paths) name no file; every other exit-2 error names its input.
 _OPTION_MESSAGES = re.compile(r" needs --|collides with an input path|must be distinct")
 
 
@@ -975,8 +1010,7 @@ class TestMutatedInputs:
         assert len(lines) == 1 and not (err if code == 0 else out).getvalue()
         payload = strict_json(lines[0])
         if code == 2:
-            option_error = payload.get("field") in _OPTION_FIELDS or _OPTION_MESSAGES.search(payload["message"])
-            assert "source" in payload or option_error, payload
+            assert "source" in payload or _OPTION_MESSAGES.search(payload["message"]), payload
         if code != 0 and argv[0] == "simulate":
             assert [path for path in work.rglob("manifest.json") if path != manifest] == []
 

@@ -75,6 +75,18 @@ def test_fileio_loads_no_solver_or_diagnosis():
     )
 
 
+def test_reproduce_list_and_an_unknown_name_load_no_scipy():
+    run_child(
+        "import contextlib, io, sys\n"
+        "from fcmlab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [main(['reproduce', '--list']), main(['reproduce', '--name', 'no-such'])]\n"
+        "assert codes == [0, 2], codes\n"
+        "loaded = {'scipy', 'fcmlab.estimator', 'fcmlab.identifiability'} & set(sys.modules)\n"
+        "assert not loaded, loaded"
+    )
+
+
 def test_simulate_and_downsample_load_no_scipy(tmp_path):
     spec = write_spec(tmp_path)
     run_child(
