@@ -13,7 +13,8 @@ value of that field's type and range; explicit flags win over
 config-file values.
 
 Each command imports the modules it runs inside its handler, so
-``simulate``, ``downsample`` and ``reproduce --list`` never load scipy.
+``simulate``, ``fit``, ``downsample`` and ``reproduce --list`` never
+load scipy.
 """
 
 from __future__ import annotations

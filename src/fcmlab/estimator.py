@@ -13,11 +13,9 @@ covariate; :class:`fcmlab.model.CoefficientIndexMap` owns that layout.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from fcmlab.errors import ConformalityError, NearSingularError
 from fcmlab.grids import quadrature_weights
@@ -77,8 +75,8 @@ class GramSystem:
         coefficient direction.
         """
         S = np.sqrt(self.weights[block])
-        out = scipy.linalg.eigh(self.G[block, block] / np.outer(S, S), eigvals_only=not vectors)
-        return (*out, S) if vectors else (out, None, S)
+        A = self.G[block, block] / np.outer(S, S)
+        return (*np.linalg.eigh(A), S) if vectors else (np.linalg.eigvalsh(A), None, S)
 
     def spectrum(self, vectors: bool = False) -> tuple:
         """:meth:`weighted_eigh` of all of ``G``, kept for every rank cut and reported eigenvalue.
@@ -215,20 +213,18 @@ def _lag_shift_fill(first_jk, first_kj, Uj, Uk, Vj, Vk, s: int) -> tuple:
 
 
 def solve_direct(system: GramSystem, rel_tol: float = DEFAULT_SVD_RTOL) -> CoefficientSet:
-    """Solve ``G c = F`` by a symmetric positive-definite factorization.
+    """Solve ``G c = F`` when its weighted spectrum has full rank.
 
-    Raises :class:`NearSingularError` carrying the extreme weighted
-    eigenvalues exactly when :func:`solve_truncated_svd` at the same
-    ``rel_tol`` would drop a mode; rank-deficient systems should go
-    through :func:`solve_truncated_svd` or :func:`solve_penalized`
-    instead. A guard that passes can still leave a system the
-    factorization finds ill-conditioned; that raises
-    :class:`NearSingularError` too.
+    The rank cut is ``rel_tol`` times the largest weighted eigenvalue,
+    floored at ``size * eps`` (see :func:`_solve_full_rank`). Raises
+    :class:`NearSingularError` carrying the extreme weighted
+    eigenvalues exactly when the rank at that cut is below ``size``, so
+    for any ``rel_tol`` at or above the floor exactly when
+    :func:`solve_truncated_svd` at the same ``rel_tol`` would drop a
+    mode; rank-deficient systems should go through
+    :func:`solve_truncated_svd` or :func:`solve_penalized` instead.
     """
-    evals = system.spectrum()[0]
-    if numerical_rank(evals, rel_tol) < system.size:
-        raise NearSingularError(evals[0], evals[-1])
-    return system.index_map.unpack(_solve_or_raise(system, "pos"))
+    return system.index_map.unpack(_solve_full_rank(system, rel_tol))
 
 
 def solve_truncated_svd(
@@ -257,8 +253,9 @@ def solve_penalized(system: GramSystem, lam: float) -> CoefficientSet:
     ``lam`` must be finite and nonnegative; ``lam = 0`` reproduces the
     plain normal equations. The penalty acts on each lag-kernel block only,
     leaving intercept and scalar coefficients unpenalized, so large
-    ``lam`` drives the kernels toward straight lines. When the solve
-    finds ``G + lam * D'D`` singular or ill-conditioned, raises
+    ``lam`` drives the kernels toward straight lines. When the weighted
+    spectrum of ``G + lam * D'D`` has rank below ``size`` at the
+    ``size * eps`` floor of :func:`_solve_full_rank`, raises
     :class:`NearSingularError` carrying its extreme weighted eigenvalues
     instead of returning the solution.
     """
@@ -266,7 +263,7 @@ def solve_penalized(system: GramSystem, lam: float) -> CoefficientSet:
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ValueError(f"penalty weight must be finite and nonnegative, got {lam!r}")
     penalized = replace(system, G=_add_curvature_penalty(system.G, system.index_map, lam))
-    return system.index_map.unpack(_solve_or_raise(penalized, "sym"))
+    return system.index_map.unpack(_solve_full_rank(penalized))
 
 
 def _add_curvature_penalty(G: np.ndarray, index_map: CoefficientIndexMap, lam: float) -> np.ndarray:
@@ -282,20 +279,26 @@ def _add_curvature_penalty(G: np.ndarray, index_map: CoefficientIndexMap, lam: f
     return G
 
 
-def _solve_or_raise(system: GramSystem, assume_a: str) -> np.ndarray:
-    """``scipy.linalg.solve(G, F)``, with singular or ill-conditioned ``G`` an error.
+def _solve_full_rank(system: GramSystem, rel_tol: float | None = None) -> np.ndarray:
+    """``np.linalg.solve(G, F)``, refused unless the weighted spectrum has full rank.
 
-    scipy's ill-conditioning warning and its singular-matrix error both
-    become :class:`NearSingularError` carrying the extreme eigenvalues
-    of the system's :meth:`GramSystem.spectrum`.
+    The rank counts the eigenvalues of :meth:`GramSystem.spectrum` at or
+    above a cut times the largest; the cut is ``rel_tol`` (when given)
+    floored at ``size * eps``, the default cut of
+    ``np.linalg.matrix_rank``. The floor stands in for a factorization's
+    rcond check: the LU solve answers whatever it is given, and a system
+    with a smaller eigenvalue would come back as a huge-norm solution.
+    Below full rank, raises :class:`NearSingularError` carrying the
+    extreme eigenvalues.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-        try:
-            return scipy.linalg.solve(system.G, system.F, assume_a=assume_a)
-        except (scipy.linalg.LinAlgWarning, scipy.linalg.LinAlgError):
-            evals = system.spectrum()[0]
-            raise NearSingularError(evals[0], evals[-1]) from None
+    evals = system.spectrum()[0]
+    rank = numerical_rank(evals, system.size * np.finfo(float).eps)
+    if rel_tol is not None:
+        # A cut below the floor counts no fewer modes; an invalid one raises here.
+        rank = min(rank, numerical_rank(evals, rel_tol))
+    if rank < system.size:
+        raise NearSingularError(evals[0], evals[-1])
+    return np.linalg.solve(system.G, system.F)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dsytrf, dsytrf_lwork
 
 from fcmlab.errors import GridError, NearSingularError
 from fcmlab.estimator import GramSystem, _lag_shift_fill, assemble
@@ -312,7 +310,7 @@ def self_similarity_residual(
         raise ValueError(
             f"order {order} exceeds the {H.shape[1]} embedding columns"
         )
-    s = scipy.linalg.svdvals(H)
+    s = np.linalg.svd(H, compute_uv=False)
     return float(_tail_energy(s)[int(order)])
 
 
@@ -345,6 +343,12 @@ def _positive_inertia(A: np.ndarray) -> int:
     eigenvalue of each sign, and such a block counts once; any other
     2x2 block, and a factor that is not finite, would undercount.
     """
+    # Imported here rather than with the module: scipy's pages (about
+    # 20 MB) then load after `gram_spectrum` has released numpy's
+    # eigendecomposition workspace, and the two never add up in the peak
+    # memory of `diagnose`.
+    from scipy.linalg.lapack import dsytrf, dsytrf_lwork
+
     lwork = int(dsytrf_lwork(A.shape[0], lower=1)[0])
     ldu, ipiv, _ = dsytrf(A, lower=1, lwork=lwork, overwrite_a=1)
     d = np.diagonal(ldu)
@@ -416,7 +420,7 @@ def _analyze_curve(x: GridFunction, alpha: float, tol: float) -> SelfSimilarityR
     H = delay_embed(x, alpha)
     if _certified_broadband(H, tol):
         return SelfSimilarityReport(None, None, None, None)
-    s = np.asarray(scipy.linalg.svdvals(H), dtype=float)
+    s = np.linalg.svd(H, compute_uv=False)
     s.setflags(write=False)
     # The last tail is zero, so some K >= 1 is always below tol.
     order = 1 + int(np.argmax(_tail_energy(s)[1:] < tol))

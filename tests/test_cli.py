@@ -378,8 +378,8 @@ class TestToleranceFlags:
         ],
     )
     def test_out_of_range_solver_flag_exits_2(self, tmp_path, capsys, flags, field):
-        # On this rank-deficient design a rank cut switched off by a NaN
-        # --svd-tol would end in scipy's singular-matrix error.
+        # On this rank-deficient design a NaN --svd-tol must not pass as
+        # a rank cut that refuses nothing.
         manifest = simulate(tmp_path, capsys, **deficient_overrides())
         fit_path = tmp_path / "fit.json"
         code = main(["fit", "--design", str(manifest), "--out", str(fit_path), *flags])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -247,9 +249,9 @@ class TestSolveDirect:
         assert np.allclose(imap.pack(coef), target, atol=1e-13)
 
     def test_ill_conditioned_system_raises_past_the_guard(self):
-        # A cut of 1e-18 lets the eigenvalue guard pass; the
-        # factorization then finds rcond = 1e-17, and a solution of that
-        # system would be a huge-norm kernel.
+        # A cut of 1e-18 would keep every mode; the floor of size * eps
+        # (8.9e-16 here) drops the 1e-17 one, whose solution would be a
+        # huge-norm kernel.
         imap = CoefficientIndexMap.from_parts(0, (0.5,), 0.25)
         evals = np.array([1e-17, 1e-3, 0.1, 1.0])
         system = GramSystem(G=np.diag(evals), F=np.ones(4), index_map=imap, weights=np.ones(4))
@@ -349,7 +351,7 @@ class TestSolvePenalized:
 
     def test_singular_system_raises_with_its_eigenvalues(self, deficient_design):
         # Without a penalty the kernel block has rank 7 of 13, and the
-        # solve would only warn of an ill-conditioned matrix.
+        # LU solve would return a huge-norm solution without a word.
         design, _ = deficient_design
         system = assemble(design)
         with pytest.raises(NearSingularError) as exc:
@@ -357,6 +359,41 @@ class TestSolvePenalized:
         evals = weighted_eigvalsh(system)
         assert exc.value.min_eig == pytest.approx(evals[0], abs=1e-12 * evals[-1])
         assert exc.value.max_eig == pytest.approx(evals[-1], rel=1e-12)
+
+    @given(design=small_designs(), lam=st.sampled_from([0.0, 1e-8, 1e-4, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_refuses_exactly_when_the_penalized_spectrum_drops_a_mode(self, design, lam):
+        assert_ridge_refusal_rule(assemble(design), lam)
+
+    @pytest.mark.parametrize("lam, refused", [(0.0, True), (1e-6, False)])
+    def test_refusal_rule_on_a_deficient_design(self, deficient_design, lam, refused):
+        design, _ = deficient_design
+        assert assert_ridge_refusal_rule(assemble(design), lam) == refused
+
+
+def assert_ridge_refusal_rule(system, lam):
+    """Check :func:`solve_penalized` against the spectral rule; return whether it refused.
+
+    It refuses exactly when the weighted spectrum of ``G + lam D'D`` has
+    rank below ``size`` at the cut ``size * eps``, and otherwise returns
+    a ``c`` whose residual ``(G + lam D'D) c - F`` is rounding: below
+    ``1e3 * size * eps`` relative to ``|G + lam D'D| |c| + |F|``.
+    """
+    P = estimator._add_curvature_penalty(system.G, system.index_map, lam)
+    evals = replace(system, G=P).spectrum()[0]
+    eps = np.finfo(float).eps
+    full_rank = np.count_nonzero(evals >= system.size * eps * evals[-1]) == system.size
+    try:
+        coef = solve_penalized(system, lam)
+    except NearSingularError as exc:
+        assert not full_rank
+        assert (exc.min_eig, exc.max_eig) == (evals[0], evals[-1])
+        return True
+    assert full_rank
+    c = system.index_map.pack(coef)
+    scale = np.linalg.norm(P, 2) * np.linalg.norm(c) + np.linalg.norm(system.F)
+    assert np.linalg.norm(P @ c - system.F) <= 1e3 * system.size * eps * scale
+    return False
 
 
 class TestCurvaturePenalty:
@@ -450,43 +487,52 @@ class TestFit:
             fit(design, solver="qr")
 
 
+def count_decompositions(monkeypatch) -> list:
+    """Record each weighted eigendecomposition from now on: True for values only, False with vectors."""
+    calls = []
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(False)
+        return eigh(*args, **kwargs)
+
+    def counting_eigvalsh(*args, **kwargs):
+        calls.append(True)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    return calls
+
+
 class TestOneSolvePath:
     @pytest.mark.parametrize("solver", ["direct", "ridge", "truncated_svd"])
     def test_fit_decomposes_the_gram_matrix_once(self, monkeypatch, noisy_design, solver):
         # The guard, the reported extremes and the truncated solution all
         # read one cached weighted eigendecomposition; only the truncated
-        # solver asks it for vectors.
+        # solver asks it for vectors. The ridge refusal reads the
+        # spectrum of G + lam D'D first, the one other decomposition.
         design, _ = noisy_design
-        calls = []
-        eigh = scipy.linalg.eigh
-
-        def counting_eigh(*args, **kwargs):
-            calls.append(kwargs.get("eigvals_only", False))
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+        calls = count_decompositions(monkeypatch)
         fit(design, solver=solver, lam=1e-6)
-        assert calls == [solver != "truncated_svd"]
+        assert calls == {"direct": [True], "ridge": [True, True], "truncated_svd": [False]}[solver]
 
     def test_rank_deficient_fallback_reuses_the_assembled_system(self, monkeypatch, deficient_design):
         # The direct guard refuses on the cached eigenvalues; the
         # truncated solver then adds the eigenvectors.
         design, _ = deficient_design
-        calls = {"assemble": 0, "eigh": 0}
-        real_assemble, real_eigh = estimator.assemble, scipy.linalg.eigh
+        calls = {"assemble": 0}
+        real_assemble = estimator.assemble
 
         def counting_assemble(*args, **kwargs):
             calls["assemble"] += 1
             return real_assemble(*args, **kwargs)
 
-        def counting_eigh(*args, **kwargs):
-            calls["eigh"] += 1
-            return real_eigh(*args, **kwargs)
-
         monkeypatch.setattr(estimator, "assemble", counting_assemble)
-        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+        decompositions = count_decompositions(monkeypatch)
         result = fit(design, solver="direct", allow_rank_deficient=True)
-        assert calls == {"assemble": 1, "eigh": 2}
+        assert calls == {"assemble": 1}
+        assert decompositions == [True, False]
         truncated = fit(design, solver="truncated_svd")
         assert (result.solver_used, result.truncation_rank) == ("truncated_svd", truncated.truncation_rank)
         assert np.array_equal(result.coef.betas[0].values, truncated.coef.betas[0].values)

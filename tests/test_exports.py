@@ -13,7 +13,7 @@ import pytest
 
 import fcmlab
 
-from test_cli import write_spec
+from test_cli import deficient_overrides, write_spec
 
 MODULES = ["fcmlab"] + sorted(
     info.name
@@ -97,6 +97,27 @@ def test_simulate_and_downsample_load_no_scipy(tmp_path):
         "         main(['downsample', '--design', out + '/manifest.json', '--U', '0.25',\n"
         "               '--out', out + '/rows.csv'])]\n"
         "assert codes == [0, 0], codes\n"
+        "assert 'scipy' not in sys.modules, 'scipy loaded'",
+        str(spec),
+        str(tmp_path / "design"),
+    )
+
+
+def test_fit_loads_no_scipy(tmp_path):
+    # On a rank-deficient design: the truncated and ridge fits succeed,
+    # and the direct fit refuses with exit 3.
+    spec = write_spec(tmp_path, **deficient_overrides())
+    run_child(
+        "import contextlib, io, sys\n"
+        "from fcmlab.cli import main\n"
+        "spec, out = sys.argv[1:]\n"
+        "fit = ['fit', '--design', out + '/manifest.json', '--out', out + '/fit.json']\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [main(['simulate', '--spec', spec, '--out', out]),\n"
+        "             main([*fit, '--solver', 'svd']),\n"
+        "             main([*fit, '--solver', 'ridge', '--lambda', '1e-6']),\n"
+        "             main(fit)]\n"
+        "assert codes == [0, 0, 0, 3], codes\n"
         "assert 'scipy' not in sys.modules, 'scipy loaded'",
         str(spec),
         str(tmp_path / "design"),
