@@ -30,7 +30,7 @@ observations may be generated in parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -125,8 +125,12 @@ def mode_family_values(terms, times: np.ndarray, field: str = "terms") -> np.nda
     exponential): finite numbers, with ``m`` a nonnegative integer.
     Errors name the JSON path of the entry below ``field``.
     """
-    times = np.asarray(times, dtype=float)
-    out = np.zeros_like(times)
+    return _mode_sum(_mode_terms(terms, field), times)
+
+
+def _mode_terms(terms, field: str) -> tuple[tuple[float, int, float, float, float], ...]:
+    """The checked ``(c, m, a, b, d)`` of each mode term, defaults filled in."""
+    out = []
     for idx, term in enumerate(json_value(terms, list, "terms", field=field)):
         at = f"{field}[{idx}]"
         if not isinstance(term, Mapping):
@@ -138,6 +142,15 @@ def mode_family_values(terms, times: np.ndarray, field: str = "terms") -> np.nda
         d = json_entry(term, "d", float, np.pi / 2.0, at)
         if m < 0:
             raise ValidationError(f"term {idx}: power m must be nonnegative", field=f"{at}.m")
+        out.append((c, m, a, b, d))
+    return tuple(out)
+
+
+def _mode_sum(terms, times) -> np.ndarray:
+    """``sum c * t^m * exp(a t) * sin(b t + d)`` over checked ``terms`` at ``times``."""
+    times = np.asarray(times, dtype=float)
+    out = np.zeros_like(times)
+    for c, m, a, b, d in terms:
         out += c * times**m * np.exp(a * times) * np.sin(b * times + d)
     return out
 
@@ -159,9 +172,13 @@ def filtered_noise_modes(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray, n
     """
     if spec.kind != "filtered_noise":
         raise ValidationError(f"spec kind is {spec.kind!r}, not 'filtered_noise'")
-    params = generator_params(spec)
+    return _noise_modes(generator_params(spec), spec.seed)
+
+
+def _noise_modes(params: Mapping[str, object], seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`filtered_noise_modes` from checked ``params`` and the curve's ``seed``."""
     n_modes, max_frequency, bandwidth = params["n_modes"], params["max_frequency"], params["bandwidth"]
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     freqs = rng.uniform(0.0, max_frequency, n_modes)
     phases = rng.uniform(0.0, 2.0 * np.pi, n_modes)
     gains = rng.standard_normal(n_modes)
@@ -197,7 +214,8 @@ def generator_params(spec: GeneratorSpec, field: str = "params") -> dict[str, ob
     per kind: ``n_modes`` (default 256), ``max_frequency`` (default
     ``0.5 / step``) and ``bandwidth`` (default ``step``) for
     ``filtered_noise``; ``K`` (default 8) and, for ``sinusoid_rich``,
-    ``amplitudes`` (default ``2^-k``); ``terms`` for ``self_similar``.
+    ``amplitudes`` (default ``2^-k``); ``terms`` for ``self_similar``,
+    each term as its ``(c, m, a, b, d)``.
     """
     params = spec.params
     if spec.kind == "filtered_noise":
@@ -217,8 +235,7 @@ def generator_params(spec: GeneratorSpec, field: str = "params") -> dict[str, ob
         terms = params.get("terms")
         if not terms:
             raise ValidationError("self_similar needs a nonempty 'terms' list", field=f"{field}.terms")
-        mode_family_values(terms, np.zeros(0), f"{field}.terms")  # checks every term
-        return {"terms": terms}
+        return {"terms": _mode_terms(terms, f"{field}.terms")}
     K = json_entry(params, "K", int, 8, field)
     if K < 1:
         raise ValidationError("K must be positive", field=f"{field}.K")
@@ -240,8 +257,11 @@ def generator_params(spec: GeneratorSpec, field: str = "params") -> dict[str, ob
 
 def gen_covariate(spec: GeneratorSpec) -> GridFunction:
     """Generate one covariate curve according to ``spec``."""
-    times = _grid_times(spec)
-    params = generator_params(spec)
+    return _covariate(spec, _grid_times(spec), generator_params(spec), spec.seed)
+
+
+def _covariate(spec: GeneratorSpec, times: np.ndarray, params: Mapping[str, object], seed: int) -> GridFunction:
+    """The curve of ``spec`` on its grid ``times`` from its checked ``params``, drawn with ``seed``."""
     if spec.kind == "sinusoid_rich":
         values = np.zeros_like(times)
         for k, amp in enumerate(params["amplitudes"], start=1):
@@ -253,9 +273,9 @@ def gen_covariate(spec: GeneratorSpec) -> GridFunction:
             values += 2.0 ** (-4.0 * k) * np.sin(4.0 * np.pi * k * times)
         return GridFunction(0.0, spec.step, values)
     if spec.kind == "self_similar":
-        return GridFunction(0.0, spec.step, mode_family_values(params["terms"], times))
+        return GridFunction(0.0, spec.step, _mode_sum(params["terms"], times))
     # filtered_noise
-    values = _sine_sum(times.size, spec.step, *filtered_noise_modes(spec))
+    values = _sine_sum(times.size, spec.step, *_noise_modes(params, seed))
     return GridFunction(0.0, spec.step, values)
 
 
@@ -314,11 +334,13 @@ def gen_design(
     lags = tuple(b.domain_length for b in beta_true.betas)
     if T < max(lags) + (1.0 - ALIGN_RTOL) * step:  # as `Design` checks, before any curve is made
         raise ValidationError(f"T={T!r} leaves no room beyond the largest lag {max(lags)!r}", field="T")
+    # Each spec's parameters are checked once, not once per observation.
+    covariates = [(spec, _grid_times(spec), generator_params(spec)) for spec in cov_specs]
     observations = []
     for i in range(n):
         xs = tuple(
-            gen_covariate(replace(spec, seed=spec.seed + _SEED_STRIDE * i))
-            for spec in cov_specs
+            _covariate(spec, times, params, spec.seed + _SEED_STRIDE * i)
+            for spec, times, params in covariates
         )
         rng = np.random.default_rng(seed + i)
         z = tuple(float(v) for v in rng.standard_normal(d)) if d else ()

@@ -219,9 +219,8 @@ def solve_direct(system: GramSystem, rel_tol: float = DEFAULT_SVD_RTOL) -> Coeff
     floored at ``size * eps`` (see :func:`_solve_full_rank`). Raises
     :class:`NearSingularError` carrying the extreme weighted
     eigenvalues exactly when the rank at that cut is below ``size``, so
-    for any ``rel_tol`` at or above the floor exactly when
-    :func:`solve_truncated_svd` at the same ``rel_tol`` would drop a
-    mode; rank-deficient systems should go through
+    exactly when :func:`solve_truncated_svd` at the same ``rel_tol``
+    would drop a mode; rank-deficient systems should go through
     :func:`solve_truncated_svd` or :func:`solve_penalized` instead.
     """
     return system.index_map.unpack(_solve_full_rank(system, rel_tol))
@@ -237,10 +236,12 @@ def solve_truncated_svd(
     spectrum is truncated at ``rel_tol`` times the largest eigenvalue,
     and the pseudoinverse solution is mapped back. The result has no
     component along the discarded directions in the weighted inner
-    product. Returns the solution and the number of retained modes.
+    product. The cut is floored at ``size * eps``, as in
+    :func:`solve_direct`, so a smaller ``rel_tol`` keeps no rounding
+    noise. Returns the solution and the number of retained modes.
     """
     evals, vecs, S = system.spectrum(vectors=True)
-    rank = numerical_rank(evals, rel_tol)
+    rank = _spectral_rank(evals, rel_tol)
     keep = slice(evals.size - rank, None)
     V = vecs[:, keep]
     ct = V @ ((V.T @ (system.F / S)) / evals[keep])
@@ -279,23 +280,29 @@ def _add_curvature_penalty(G: np.ndarray, index_map: CoefficientIndexMap, lam: f
     return G
 
 
+def _spectral_rank(evals: np.ndarray, rel_tol: float | None = None) -> int:
+    """Eigenvalues of a weighted spectrum at or above a cut times the largest.
+
+    The cut is ``rel_tol`` (when given) floored at ``size * eps``, the
+    default cut of ``np.linalg.matrix_rank``. An invalid ``rel_tol``
+    raises, also when the floor would decide.
+    """
+    rank = evals.size if rel_tol is None else numerical_rank(evals, rel_tol)
+    return min(rank, numerical_rank(evals, evals.size * np.finfo(float).eps))
+
+
 def _solve_full_rank(system: GramSystem, rel_tol: float | None = None) -> np.ndarray:
     """``np.linalg.solve(G, F)``, refused unless the weighted spectrum has full rank.
 
-    The rank counts the eigenvalues of :meth:`GramSystem.spectrum` at or
-    above a cut times the largest; the cut is ``rel_tol`` (when given)
-    floored at ``size * eps``, the default cut of
-    ``np.linalg.matrix_rank``. The floor stands in for a factorization's
-    rcond check: the LU solve answers whatever it is given, and a system
-    with a smaller eigenvalue would come back as a huge-norm solution.
-    Below full rank, raises :class:`NearSingularError` carrying the
-    extreme eigenvalues.
+    The rank is :func:`_spectral_rank` of :meth:`GramSystem.spectrum` at
+    ``rel_tol``. Its floor stands in for a factorization's rcond check:
+    the LU solve answers whatever it is given, and a system with a
+    smaller eigenvalue would come back as a huge-norm solution. Below
+    full rank, raises :class:`NearSingularError` carrying the extreme
+    eigenvalues.
     """
     evals = system.spectrum()[0]
-    rank = numerical_rank(evals, system.size * np.finfo(float).eps)
-    if rel_tol is not None:
-        # A cut below the floor counts no fewer modes; an invalid one raises here.
-        rank = min(rank, numerical_rank(evals, rel_tol))
+    rank = _spectral_rank(evals, rel_tol)
     if rank < system.size:
         raise NearSingularError(evals[0], evals[-1])
     return np.linalg.solve(system.G, system.F)

@@ -6,11 +6,14 @@ JSON file carries a ``format_version``: :data:`FORMAT_VERSION` for
 inputs (manifests, specs), :data:`ARTIFACT_VERSION` for results. All
 writers are atomic, through :func:`fcmlab.util.atomic_write`: content
 goes to a temporary file in the destination directory and is renamed
-into place, so readers never observe partial output. Every CSV but the row export
-goes through :func:`fcmlab.util.write_csv`, which streams its rows in
-blocks; :func:`write_flm_csv` streams the same bytes but formats each
-observation's segment of each covariate curve once and cuts every row's
-delay window out of that text, so no sample is formatted twice.
+into place, so readers never observe partial output. The spectrum and
+residual CSVs go through :func:`fcmlab.util.write_csv`, which streams
+its rows in blocks. The other two stream the same bytes with less
+formatting: curve CSVs go through :func:`fcmlab.grids.write_grid_csv`,
+which formats a grid's time column once for all curves on it, and
+:func:`write_flm_csv` formats each observation's segment of each
+covariate curve once and cuts every row's delay window out of that
+text, so no sample is formatted twice.
 """
 
 from __future__ import annotations

@@ -14,12 +14,15 @@ round trips).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
 from fcmlab.errors import GridError, ValidationError
-from fcmlab.util import read_text, write_csv
+from fcmlab.util import CELL_FORMAT, atomic_write, block_rows, read_text
 
 __all__ = [
     "GridFunction",
@@ -185,17 +188,45 @@ def inner_product(f: GridFunction, g: GridFunction) -> float:
 _CSV_HEADER = ("t", "value")
 
 
+@lru_cache(maxsize=4)
+def _row_template(start: float, step: float, k0: int, k1: int) -> str:
+    """Rows ``k0`` to ``k1 - 1`` of a curve on the grid ``(start, step)``, values left as ``%.17g``.
+
+    Each row holds its time, formatted with :data:`CELL_FORMAT`, and a
+    value field, so one ``%`` with the block's values fills the rows.
+    The times are those of :meth:`GridFunction.times`, bit for bit. All
+    curves of a design share one grid, so each block is built once.
+    """
+    times = start + step * np.arange(k0, k1)
+    return (CELL_FORMAT + ",%" + CELL_FORMAT + "\n") * times.size % tuple(times.tolist())
+
+
 def write_grid_csv(path, f: GridFunction) -> None:
-    """Write ``f`` atomically as a two-column CSV ``t,value`` with full precision."""
-    write_csv(path, _CSV_HEADER, [f.times(), f.values])
+    """Write ``f`` atomically as a two-column CSV ``t,value`` with full precision.
+
+    The bytes are those of :func:`fcmlab.util.write_csv` on the columns
+    ``f.times()`` and ``f.values``, streamed in blocks of the same rows;
+    only the value column is formatted per curve.
+    """
+    n = len(f)
+    rows = block_rows(2)
+
+    def blocks():
+        yield ",".join(_CSV_HEADER) + "\n"
+        for k0 in range(0, n, rows):
+            k1 = min(k0 + rows, n)
+            yield _row_template(f.start, f.step, k0, k1) % tuple(f.values[k0:k1].tolist())
+
+    atomic_write(path, blocks())
 
 
 def read_grid_csv(path) -> GridFunction:
     """Read a ``t,value`` CSV written on a uniform, strictly increasing grid.
 
     Empty lines are skipped. Every entry must be an unquoted finite number,
-    and spacing is validated to a relative tolerance of 1e-9; violations
-    raise :class:`ValidationError` with the offending line number.
+    as ``float()`` reads it, and spacing is validated to a relative
+    tolerance of 1e-9; violations raise :class:`ValidationError` with the
+    offending line number.
     """
     text = read_text(path)
     if not text:
@@ -205,22 +236,17 @@ def read_grid_csv(path) -> GridFunction:
         raise ValidationError(f"expected header 't,value', got {header!r}", source=path, line=1)
     # Rows stay strings, and the cells one flat list: a list per row would
     # keep thousands of containers alive and wake the garbage collector.
-    rows = [line for line in lines if line]
-    linenos = [lineno for lineno, line in enumerate(lines, start=2) if line]
+    rows = list(filter(None, lines))
     cells = ",".join(rows).split(",") if rows else []
-    try:
-        samples = np.array(cells, dtype=float).reshape(len(rows), 2)
-    except ValueError:
-        samples = None
-    if samples is None or any(row.count(",") != 1 for row in rows):
-        for lineno, row in zip(linenos, rows):  # the first row that is not two numbers
-            fields = row.split(",")
-            if len(fields) != 2:
-                raise ValidationError(f"expected 2 fields, got {len(fields)}", source=path, line=lineno)
-            try:
-                np.array(fields, dtype=float)
-            except ValueError:
-                raise ValidationError(f"non-numeric entry {fields!r}", source=path, line=lineno) from None
+    # 2R cells hold R commas; if every row has one, every row has exactly one.
+    samples = None
+    if len(cells) == 2 * len(rows) and all(map(operator.contains, rows, repeat(","))):
+        try:
+            samples = np.fromiter(map(float, cells), float, len(cells)).reshape(len(rows), 2)
+        except ValueError:
+            pass
+    if samples is None:
+        _raise_first_bad_row(path, lines)
     if len(samples) < 2:
         raise ValidationError("need at least two samples", source=path)
     t, v = samples.T
@@ -228,12 +254,14 @@ def read_grid_csv(path) -> GridFunction:
     if bad.size:
         k = int(bad[0])
         raise ValidationError(
-            f"non-finite entry {float(t[k])!r},{float(v[k])!r}", source=path, line=linenos[k]
+            f"non-finite entry {float(t[k])!r},{float(v[k])!r}", source=path, line=_row_line(lines, k)
         )
     gaps = np.diff(t)
     bad = np.flatnonzero(gaps <= 0.0)
     if bad.size:
-        raise ValidationError("times must be strictly increasing", source=path, line=linenos[int(bad[0]) + 1])
+        raise ValidationError(
+            "times must be strictly increasing", source=path, line=_row_line(lines, int(bad[0]) + 1)
+        )
     step = (t[-1] - t[0]) / (len(t) - 1)
     bad = np.nonzero(np.abs(gaps - step) > ALIGN_RTOL * step)[0]
     if bad.size:
@@ -241,6 +269,25 @@ def read_grid_csv(path) -> GridFunction:
         raise ValidationError(
             f"non-uniform spacing: gap {float(gaps[k])!r} vs step {float(step)!r}",
             source=path,
-            line=linenos[k + 1],
+            line=_row_line(lines, k + 1),
         )
     return GridFunction(float(t[0]), float(step), v)
+
+
+def _row_line(lines: list[str], k: int) -> int:
+    """File line of data row ``k``: ``lines`` follow the header, and empty ones hold no row."""
+    return [lineno for lineno, line in enumerate(lines, start=2) if line][k]
+
+
+def _raise_first_bad_row(path, lines: list[str]) -> None:
+    """Raise for the first line that is not two numbers."""
+    for lineno, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise ValidationError(f"expected 2 fields, got {len(fields)}", source=path, line=lineno)
+        try:
+            list(map(float, fields))
+        except ValueError:
+            raise ValidationError(f"non-numeric entry {fields!r}", source=path, line=lineno) from None

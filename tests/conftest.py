@@ -7,6 +7,7 @@ from fcmlab.designs import GeneratorSpec, NoiseSpec, gen_design
 from fcmlab.errors import ValidationError
 from fcmlab.grids import ALIGN_RTOL, GridFunction
 from fcmlab.model import CoefficientIndexMap, CoefficientSet, Design, Observation, RowSet, delay_matrix
+from fcmlab.util import write_csv
 
 
 @pytest.fixture
@@ -122,6 +123,16 @@ def flm_rows(data: RowSet) -> tuple[np.ndarray, np.ndarray]:
     z = np.concatenate([np.tile(z, (y.size, 1)) for z, y, _ in data.observations])
     y = np.concatenate([y for _, y, _ in data.observations])
     return dense_rows(data.index_map, z, flm_windows(data)), y
+
+
+# The reference curve writer: the generic CSV writer on the time and
+# value columns. `write_grid_csv`, which formats a grid's times once for
+# every curve on it, must write the same bytes.
+
+
+def write_csv_grid(path, f: GridFunction) -> None:
+    """Write ``f`` as ``t,value`` rows through ``util.write_csv``."""
+    write_csv(path, ("t", "value"), [f.times(), f.values])
 
 
 # The reference curve reader: `csv.reader` with one `float()` per cell,

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from fcmlab import designs
 from fcmlab.designs import (
     _SINE_BLOCK,
     GeneratorSpec,
@@ -142,6 +145,28 @@ class TestGenDesign:
             assert np.array_equal(o1.y.values, o2.y.values)
             assert np.array_equal(o1.x[0].values, o2.x[0].values)
             assert o1.z == o2.z
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("sinusoid_rich", {"K": 3}),
+            ("orthogonal_counterexample", {"K": 2}),
+            ("self_similar", {"terms": [{"a": -0.5, "b": 3.0}, {"m": 1, "d": 0.0}]}),
+            ("filtered_noise", {"n_modes": 16}),
+        ],
+    )
+    def test_covariates_are_gen_covariate_at_the_derived_seeds(self, monkeypatch, kind, params):
+        step = 1.0 / 16.0
+        spec = GeneratorSpec(kind, 2.0, step, seed=5, params=params)
+        beta = CoefficientSet((0.1,), (sine_kernel(step, 0.5),))
+        checked = []
+        check = designs.generator_params
+        monkeypatch.setattr(designs, "generator_params", lambda *a: checked.append(a) or check(*a))
+        design, _ = gen_design([spec], beta, NoiseSpec(), n=3, seed=1)
+        assert len(checked) == 1  # once per spec, not once per observation
+        for i, obs in enumerate(design.observations):
+            x = gen_covariate(replace(spec, seed=spec.seed + 1009 * i))
+            assert obs.x[0].values.tobytes() == x.values.tobytes()
 
     def test_observations_differ_across_seeds(self):
         step = 1.0 / 16.0

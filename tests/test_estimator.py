@@ -308,6 +308,29 @@ class TestSolveTruncatedSvd:
             v = system.index_map.pack(null_vec)[blk]
             assert abs(float(np.sum(w * c * v))) < 1e-8
 
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-12, 1e-14, 1e-16, 1e-18])
+    def test_rank_is_the_one_at_which_direct_refuses(self, deficient_design, rel_tol):
+        # Both solvers floor the cut at size * eps (3.1e-15 here), so no
+        # cut counts the rounding-noise eigenvalues (below 4e-18 of the
+        # largest) as modes.
+        design, _ = deficient_design
+        system = assemble(design)
+        evals = system.spectrum()[0]
+        cut = max(rel_tol, system.size * np.finfo(float).eps) * evals[-1]
+        _, rank = solve_truncated_svd(system, rel_tol)
+        assert rank == np.count_nonzero(evals >= cut) == 7
+        with pytest.raises(NearSingularError):
+            solve_direct(system, rel_tol)
+
+    def test_cut_below_the_floor_drops_the_noise_mode(self):
+        imap = CoefficientIndexMap.from_parts(0, (0.5,), 0.25)
+        system = GramSystem(
+            G=np.diag([1e-17, 1e-3, 0.1, 1.0]), F=np.ones(4), index_map=imap, weights=np.ones(4)
+        )
+        assert solve_truncated_svd(system, 1e-18)[1] == 3
+        with pytest.raises(NearSingularError):
+            solve_direct(system, 1e-18)
+
     def test_rel_tol_one_keeps_single_direction(self, deficient_design):
         design, _ = deficient_design
         _, rank = solve_truncated_svd(assemble(design), rel_tol=1.0)

@@ -129,6 +129,16 @@ class TestDesignRoundTrip:
             assert np.array_equal(a.x[0].values, b.x[0].values)
             assert a.z == b.z
 
+    def test_curves_of_unequal_length_survive_exactly(self, tmp_path, unequal_design):
+        manifest = fileio.write_design(unequal_design, tmp_path / "d")
+        loaded = fileio.read_design(manifest)
+        assert (loaded.step, loaded.lags) == (unequal_design.step, unequal_design.lags)
+        for a, b in zip(loaded.observations, unequal_design.observations):
+            assert a.z == b.z
+            for f, g in zip((a.y, *a.x), (b.y, *b.x)):
+                assert (f.start, f.step) == (g.start, g.step)
+                assert f.values.tobytes() == g.values.tobytes()
+
     def test_manifest_is_versioned(self, tmp_path, noisy_design):
         design, _ = noisy_design
         manifest = fileio.write_design(design, tmp_path / "d")

@@ -12,8 +12,9 @@ from fcmlab.grids import (
     snap_to_index,
     write_grid_csv,
 )
+from fcmlab.util import block_rows
 
-from conftest import csv_reader_grid
+from conftest import csv_reader_grid, write_csv_grid
 
 
 def grid(step, values, start=0.0):
@@ -260,7 +261,7 @@ class TestCsvRoundTrip:
 
 # Edits of a well-formed curve text, each applied to line `k` of the
 # data rows (taken modulo their number).
-_CELL_WORDS = ["abc", "", "1.0.0", "0x1", "nan", "inf", "-inf", "Infinity", "-nan", "1e400"]
+_CELL_WORDS = ["abc", "", "1.0.0", "0x1", "nan", "inf", "-inf", "Infinity", "-nan", "1e400", "1_000", " 1 "]
 
 
 def _edit(rows: list[list[str]], kind: str, k: int, word: str, pad: str, step: float) -> None:
@@ -289,6 +290,9 @@ def _edit(rows: list[list[str]], kind: str, k: int, word: str, pad: str, step: f
             pass
     elif kind == "pad" and row:
         row[-1] = pad + row[-1] + pad
+    elif kind == "move" and k + 1 < len(rows) and row:
+        # Row k loses its comma and row k + 1 gains one: the total stays.
+        rows[k + 1].insert(0, row.pop())
 
 
 @st.composite
@@ -300,7 +304,7 @@ def curve_texts(draw):
     values = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
     rows = [["%.17g" % (start + k * step), "%.17g" % v] for k, v in enumerate(values)]
     edits = st.tuples(
-        st.sampled_from(["drop", "blank", "space", "extra", "missing", "word", "swap", "jitter", "pad"]),
+        st.sampled_from(["drop", "blank", "space", "extra", "missing", "word", "swap", "jitter", "pad", "move"]),
         st.integers(0, 8),
         st.sampled_from(_CELL_WORDS),
         st.sampled_from(["", " ", "\t", "  "]),
@@ -329,3 +333,47 @@ class TestReaderMatchesCsvReader:
         path = tmp_path_factory.mktemp("curve") / "curve.csv"
         path.write_bytes(text.encode())
         assert _outcome(read_grid_csv, path) == _outcome(csv_reader_grid, path)
+
+
+# Sample values that format in unusual ways: signed zero, subnormal,
+# huge, non-finite.
+_ODD_VALUES = [-0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def curve_sequences(draw):
+    """Curves on up to three grids, interleaved, some longer than one block."""
+    blocks = block_rows(2)
+    grids = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, -0.5, 1.25]),
+                st.sampled_from([0.125, 0.1, 1.0 / 3.0]),
+                st.one_of(st.integers(2, 40), st.integers(blocks - 2, 2 * blocks + 2)),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    order = draw(st.lists(st.integers(0, len(grids) - 1), min_size=2, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    curves = []
+    for g in order:
+        start, step, n = grids[g]
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        values[rng.integers(0, n, 3)] = rng.choice(_ODD_VALUES, 3)
+        curves.append(GridFunction(start, step, values))
+    return curves
+
+
+class TestWriterMatchesWriteCsv:
+    @given(curves=curve_sequences())
+    @settings(max_examples=25, deadline=None)
+    def test_same_bytes(self, tmp_path_factory, curves):
+        # Grids repeat and alternate, so a grid's times are formatted
+        # afresh for some curves and reused for others.
+        out = tmp_path_factory.mktemp("curves")
+        for k, f in enumerate(curves):
+            write_grid_csv(out / f"{k}.csv", f)
+            write_csv_grid(out / f"{k}-ref.csv", f)
+            assert (out / f"{k}.csv").read_bytes() == (out / f"{k}-ref.csv").read_bytes()
