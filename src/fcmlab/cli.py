@@ -14,7 +14,9 @@ config-file values.
 
 Each command imports the modules it runs inside its handler, so
 ``simulate``, ``fit``, ``downsample`` and ``reproduce --list`` never
-load scipy.
+load scipy, and ``diagnose`` loads it only when a curve reaches the
+inertia count of the broadband certificate, which a design of
+low-order curves never does.
 """
 
 from __future__ import annotations

@@ -6,18 +6,20 @@ JSON file carries a ``format_version``: :data:`FORMAT_VERSION` for
 inputs (manifests, specs), :data:`ARTIFACT_VERSION` for results. All
 writers are atomic, through :func:`fcmlab.util.atomic_write`: content
 goes to a temporary file in the destination directory and is renamed
-into place, so readers never observe partial output. The spectrum and
-residual CSVs go through :func:`fcmlab.util.write_csv`, which streams
-its rows in blocks. The other two stream the same bytes with less
-formatting: curve CSVs go through :func:`fcmlab.grids.write_grid_csv`,
-which formats a grid's time column once for all curves on it, and
-:func:`write_flm_csv` formats each observation's segment of each
-covariate curve once and cuts every row's delay window out of that
-text, so no sample is formatted twice.
+into place, so readers never observe partial output. JSON files are
+streamed as the encoder produces them, never held as one text. The
+spectrum and residual CSVs go through :func:`fcmlab.util.write_csv`,
+which streams its rows in blocks. The other two stream the same bytes
+with less formatting: curve CSVs go through
+:func:`fcmlab.grids.write_grid_csv`, which formats a grid's time
+column once for all curves on it, and :func:`write_flm_csv` formats
+each observation's segment of each covariate curve once and cuts every
+row's delay window out of that text, so no sample is formatted twice.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
@@ -68,7 +70,15 @@ ARTIFACT_VERSION = 3
 
 
 def _write_json(path, payload: Mapping[str, Any]) -> None:
-    atomic_write(path, [json.dumps(payload, indent=2, sort_keys=False, allow_nan=False) + "\n"])
+    """Write ``payload`` as strict, indented JSON, streamed chunk by chunk.
+
+    The bytes are those of ``json.dumps(payload, indent=2)`` and a
+    newline: with an indent, ``dumps`` joins the chunks of the same
+    encoder. A non-finite number raises ``ValueError`` midway, and
+    :func:`fcmlab.util.atomic_write` then removes its temp file.
+    """
+    chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(payload)
+    atomic_write(path, itertools.chain(chunks, ["\n"]))
 
 
 def write_design(design: Design, out_dir) -> Path:
@@ -242,12 +252,13 @@ def write_residual_curves_csv(path, report: DiagnosisReport) -> None:
 
     A curve certified broadband has no residual curve and writes no rows.
     """
-    curves = [
-        (i, j, rep.residual_curve)
+    rows = [
+        np.column_stack([np.full(c.size, i), np.full(c.size, j), np.arange(c.size), c])
         for i, row in enumerate(report.covariate_reports)
         for j, rep in enumerate(row)
+        if (c := rep.residual_curve) is not None
     ]
-    rows = [(i, j, K, r) for i, j, c in curves if c is not None for K, r in enumerate(c.tolist())]
+    rows = np.concatenate(rows) if rows else np.empty((0, 4))
     write_csv(path, ["observation", "covariate", "K", "residual"], [rows])
 
 

@@ -16,11 +16,16 @@ energy at each order, and recovers the continuous-time mode parameters
 from the recurrence roots. A curve whose embedding Gram has too many
 eigenvalues above the tolerance to be explained by half of its
 spectrum is certified broadband from the inertia of that Gram, with no
-singular value decomposition.
+singular value decomposition. A few pivots of a pivoted Cholesky
+factorization of the Gram route each curve: one they explain takes
+its singular values first and reaches the certificate (and scipy,
+which counts the inertia) only if the order search does not find it
+finite-dimensional. The route never changes a report.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -373,6 +378,27 @@ def _embedding_gram(H: np.ndarray) -> np.ndarray:
     return _lag_shift_fill(first[None], first[None], U, U, V, V, 1)[0]
 
 
+def _gram_threshold(H: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """The embedding Gram ``M`` of ``H`` and the certificate's threshold ``theta``.
+
+    See :func:`_certified_broadband`.
+    """
+    R, n = H.shape
+    N = R + n - 1
+    M = _embedding_gram(H)
+    rho = 8.0 * n * (N + n) * np.finfo(float).eps
+    return M, (float(tol) ** 2 + rho) * float(np.trace(M))
+
+
+def _inertia_certifies(M: np.ndarray, theta: float) -> bool:
+    """Whether more than half of the eigenvalues of ``M`` exceed ``theta``; ``M`` is overwritten."""
+    if not (np.isfinite(theta) and theta > 0.0):
+        return False
+    n = M.shape[0]
+    M[np.diag_indices(n)] -= theta
+    return _positive_inertia(M) > n // 2
+
+
 def _certified_broadband(H: np.ndarray, tol: float) -> bool:
     """Whether the delay embedding ``H`` is too rich for half of its spectrum.
 
@@ -384,7 +410,9 @@ def _certified_broadband(H: np.ndarray, tol: float) -> bool:
     ``sigma[half]**2 > tol**2 * ||sigma||**2``, so the singular-value
     tail energy is at least ``tol`` at every order up to ``half``: the
     order search of :func:`_analyze_curve` would end past ``half`` and
-    find the curve not finite-dimensional.
+    find the curve not finite-dimensional. So a curve that the order
+    search finds finite-dimensional is never certified, which is what
+    lets :func:`_analyze_curve` skip the certificate for such a curve.
 
     ``rho = 8 n (N + n) eps``, with ``eps`` the machine epsilon, covers
     rounding. Each entry of ``M`` sums at most ``N + 2n`` products of
@@ -398,28 +426,40 @@ def _certified_broadband(H: np.ndarray, tol: float) -> bool:
     the certificate stands in for. Adding ``rho`` to ``tol**2``, rather
     than taking the larger of the two, keeps that margin for any ``tol``.
     """
-    R, n = H.shape
-    N = R + n - 1
-    M = _embedding_gram(H)
-    rho = 8.0 * n * (N + n) * np.finfo(float).eps
-    theta = (float(tol) ** 2 + rho) * float(np.trace(M))
-    if not (np.isfinite(theta) and theta > 0.0):
-        return False
-    M[np.diag_indices(n)] -= theta
-    return _positive_inertia(M) > n // 2
+    return _inertia_certifies(*_gram_threshold(H, tol))
 
 
-def _analyze_curve(x: GridFunction, alpha: float, tol: float) -> SelfSimilarityReport:
-    """Self-similarity report of one curve; see :class:`SelfSimilarityReport`.
+def _few_directions(M: np.ndarray, theta: float) -> bool:
+    """Whether a few pivots of a pivoted Cholesky of ``M`` leave a trace of at most ``theta``.
 
-    The certificate of :func:`_certified_broadband` runs first. A
-    certified curve gets a report with no singular values, order or
-    recurrence, at no singular value decomposition; every other curve
-    takes the singular values of its embedding and the order search.
+    Runs the partial pivoted Cholesky factorization of the positive
+    semidefinite ``M`` (Harbrecht, Peters & Schneider, Appl. Numer.
+    Math. 62, 2012) for at most ``ceil(sqrt(n))`` pivots, and never more
+    than ``n // 2``, in ``O(n k^2)`` for ``k`` pivots. It stops as soon
+    as the trace of the remaining Schur complement is at most ``theta``.
+    Then ``M`` is a rank-``k`` matrix plus a positive semidefinite one
+    of trace at most ``theta``, so, up to rounding, at most ``k <= n //
+    2`` eigenvalues of ``M`` exceed ``theta``. Returns False when the
+    pivots run out first, or a pivot is not positive (which a non-finite
+    ``M`` gives). ``M`` is not modified.
     """
-    H = delay_embed(x, alpha)
-    if _certified_broadband(H, tol):
-        return SelfSimilarityReport(None, None, None, None)
+    n = M.shape[0]
+    pivots = min(math.isqrt(n - 1) + 1, n // 2)  # ceil(sqrt(n)), n >= 1
+    residual = M.diagonal().copy()
+    L = np.empty((pivots, n))
+    for k in range(pivots):
+        if residual.sum() <= theta:
+            return True
+        p = int(np.argmax(residual))
+        if not residual[p] > 0.0:
+            return False
+        L[k] = (M[p] - L[:k, p] @ L[:k]) / np.sqrt(residual[p])
+        residual -= L[k] ** 2
+    return bool(residual.sum() <= theta)
+
+
+def _svd_report(x: GridFunction, H: np.ndarray, tol: float) -> SelfSimilarityReport:
+    """The report of a curve from the singular values of its embedding ``H`` and the order search."""
     s = np.linalg.svd(H, compute_uv=False)
     s.setflags(write=False)
     # The last tail is zero, so some K >= 1 is always below tol.
@@ -432,6 +472,33 @@ def _analyze_curve(x: GridFunction, alpha: float, tol: float) -> SelfSimilarityR
     except NearSingularError:
         return report
     return replace(report, recurrence_coeffs=coeffs, modes=recurrence_modes(coeffs, x.step))
+
+
+def _analyze_curve(x: GridFunction, alpha: float, tol: float) -> SelfSimilarityReport:
+    """Self-similarity report of one curve; see :class:`SelfSimilarityReport`.
+
+    A curve certified by :func:`_certified_broadband` gets a report with
+    no singular values, order or recurrence; every other curve gets the
+    report of the singular values of its embedding and the order search.
+    What runs first is routed by :func:`_few_directions` on the
+    embedding Gram ``M``, which is formed once for both. A curve whose
+    ``M`` a few Cholesky pivots explain takes the singular values first:
+    if the order search finds it finite-dimensional, the certificate
+    could not have fired (see :func:`_certified_broadband`), so it is
+    not consulted; otherwise it is, and a certified curve gets the null
+    report. Every other curve consults the certificate first, at no
+    singular value decomposition when it fires. The routing decides only
+    what runs first: every report is the one the certificate-first order
+    gives.
+    """
+    H = delay_embed(x, alpha)
+    M, theta = _gram_threshold(H, tol)
+    report = _svd_report(x, H, tol) if _few_directions(M, theta) else None
+    if report is not None and report.finite_dimensional:
+        return report
+    if _inertia_certifies(M, theta):
+        return SelfSimilarityReport(None, None, None, None)
+    return _svd_report(x, H, tol) if report is None else report
 
 
 def diagnose(design: Design, tol: float = DEFAULT_RESIDUAL_TOL) -> DiagnosisReport:

@@ -1,11 +1,14 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fcmlab import identifiability
 from fcmlab.designs import GeneratorSpec, NoiseSpec, gen_design
-from fcmlab.errors import ValidationError
+from fcmlab.errors import NearSingularError, ValidationError
 from fcmlab.grids import ALIGN_RTOL, GridFunction
+from fcmlab.identifiability import SelfSimilarityReport
 from fcmlab.model import CoefficientIndexMap, CoefficientSet, Design, Observation, RowSet, delay_matrix
 from fcmlab.util import write_csv
 
@@ -198,3 +201,39 @@ def _sample_line(path, k: int) -> int:
         reader = csv.reader(handle)
         next(reader)
         return [reader.line_num for row in reader if row][k]
+
+
+# The reference curve analysis: the broadband certificate first, then
+# the singular values for every curve it does not certify.
+# `_analyze_curve`, which takes the singular values first for curves
+# that a few Cholesky pivots explain, must give the same reports.
+
+
+def certificate_first_report(x: GridFunction, alpha: float, tol: float) -> SelfSimilarityReport:
+    """The self-similarity report of ``x`` with the certificate consulted first."""
+    H = identifiability.delay_embed(x, alpha)
+    if identifiability._certified_broadband(H, tol):
+        return SelfSimilarityReport(None, None, None, None)
+    s = np.linalg.svd(H, compute_uv=False)
+    order = 1 + int(np.argmax(identifiability._tail_energy(s)[1:] < tol))
+    report = SelfSimilarityReport(s, order, None, None)
+    if not report.finite_dimensional or len(x) < 3 * order:
+        return report
+    try:
+        coeffs = identifiability.fit_recurrence(x, order)
+    except NearSingularError:
+        return report
+    modes = identifiability.recurrence_modes(coeffs, x.step)
+    return replace(report, recurrence_coeffs=coeffs, modes=modes)
+
+
+def assert_same_report(got: SelfSimilarityReport, expected: SelfSimilarityReport) -> None:
+    """Singular values and coefficients bit for bit; the same order and modes."""
+
+    def raw(values):
+        return None if values is None else values.tobytes()
+
+    assert raw(got.singular_values) == raw(expected.singular_values)
+    assert got.estimated_order == expected.estimated_order
+    assert raw(got.recurrence_coeffs) == raw(expected.recurrence_coeffs)
+    assert repr(got.modes) == repr(expected.modes)

@@ -122,3 +122,26 @@ def test_fit_loads_no_scipy(tmp_path):
         str(spec),
         str(tmp_path / "design"),
     )
+
+
+def test_diagnose_of_a_self_similar_design_loads_no_scipy(tmp_path):
+    # Every curve is a damped sinusoid, of order 2: a few Cholesky pivots
+    # explain its embedding Gram, so its singular values settle it and the
+    # broadband certificate, scipy's one use, never runs.
+    covariates = [{"kind": "self_similar", "params": {"terms": [{"a": -0.5, "b": 3.0}]}}]
+    spec = write_spec(tmp_path, covariates=covariates)
+    run_child(
+        "import contextlib, io, json, sys\n"
+        "from fcmlab.cli import main\n"
+        "spec, out = sys.argv[1:]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['simulate', '--spec', spec, '--out', out]),\n"
+        "             main(['diagnose', '--design', out + '/manifest.json', '--out', out + '/d.json',\n"
+        "                   '--residuals-csv', out + '/r.csv'])]\n"
+        "assert codes == [0, 0], codes\n"
+        "entries = json.load(open(out + '/d.json'))['covariates']\n"
+        "assert [e['estimated_order'] for e in entries] == [2, 2, 2], entries\n"
+        "assert 'scipy' not in sys.modules, 'scipy loaded'",
+        str(spec),
+        str(tmp_path / "design"),
+    )

@@ -232,6 +232,48 @@ class TestAtomicWrite:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv"]
 
 
+class TestJsonWriter:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {},
+            {"a": [], "b": {}, "c": None},
+            {"format_version": 3, "nested": {"list": [1, 2.5, -0.0, 5e-324, 1e300], "flag": True}},
+            {"deep": [[{"x": [[]]}], [1, [2, [3, {"y": "z\u00e9\n"}]]]], "tail": False},
+        ],
+    )
+    def test_bytes_are_those_of_dumps(self, tmp_path, payload):
+        path = tmp_path / "out.json"
+        fileio._write_json(path, payload)
+        assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
+
+    def test_non_finite_payload_exits_2_and_leaves_the_old_file(self, tmp_path, monkeypatch, capsys):
+        from fcmlab.cli import main
+
+        design, _ = gen_design(
+            [GeneratorSpec("self_similar", 1.5, 0.125, params={"terms": [{"a": -0.5}]})],
+            CoefficientSet((0.7,), (GridFunction(0.0, 0.125, np.ones(5)),)),
+            NoiseSpec("white", sd=0.0),
+            n=2,
+            seed=3,
+        )
+        manifest = fileio.write_design(design, tmp_path / "design")
+        out = tmp_path / "diagnosis.json"
+        out.write_text("old\n")
+        real = fileio.diagnosis_payload
+
+        def with_nan(report):
+            payload = real(report)
+            payload["covariates"][-1]["residual"] = float("nan")
+            return payload
+
+        monkeypatch.setattr(fileio, "diagnosis_payload", with_nan)
+        assert main(["diagnose", "--design", str(manifest), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        assert out.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["design", "diagnosis.json"]
+
+
 class TestPayloads:
     def test_fit_payload_fields(self, noisy_design):
         design, _ = noisy_design

@@ -21,6 +21,8 @@ from fcmlab.identifiability import (
 )
 from fcmlab.model import CoefficientSet, Design, Observation
 
+from conftest import assert_same_report, certificate_first_report
+
 
 def curve(fn, T=2.0, step=1.0 / 256.0):
     t = step * np.arange(round(T / step) + 1)
@@ -351,6 +353,57 @@ class TestBroadbandCertificate:
         report = diagnose(design)
         assert all(rep.singular_values is None for row in report.covariate_reports for rep in row)
         assert calls == []
+
+
+class TestRouting:
+    """``_analyze_curve`` gives the certificate-first report on every route."""
+
+    @given(case=certificate_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_every_route_gives_the_certificate_first_report(self, case):
+        x, alpha, tol, _ = case
+        expected = certificate_first_report(x, alpha, tol)
+        assert_same_report(identifiability._analyze_curve(x, alpha, tol), expected)
+
+    @pytest.mark.parametrize("member", list(_family_members()), ids=str)
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_family_members_take_the_singular_values_first(self, member, alpha):
+        # The embeddings of the selfsimilar-many benchmark: step 1/64 over
+        # [0, 6]. Each member has order at most 6, no more than the
+        # ceil(sqrt(n)) pivots of an n-column window (6 at n = 33, 9 at 65).
+        a, b, m, order = member
+        x = _family_curve(a, b, m, 6.0, 1.0 / 64.0)
+        M, theta = identifiability._gram_threshold(delay_embed(x, alpha), 1e-8)
+        assert identifiability._few_directions(M, theta)
+        report = identifiability._analyze_curve(x, alpha, 1e-8)
+        assert report.estimated_order == order and report.modes is not None
+        assert_same_report(report, certificate_first_report(x, alpha, 1e-8))
+
+    def test_low_rank_curve_past_half_consults_the_certificate(self, monkeypatch):
+        # A sine under a 1e-7 noise floor: two pivots leave a residual trace
+        # far below the certificate's threshold, but the order search runs
+        # past half the window. The certificate then runs, and does not fire.
+        noise = 1e-7 * np.random.default_rng(4).standard_normal(129)
+        x = curve(lambda t: np.sin(2 * np.pi * t) + noise, T=2.0, step=1.0 / 64.0)
+        counted = []
+        inertia = identifiability._positive_inertia
+        monkeypatch.setattr(
+            identifiability, "_positive_inertia", lambda A: counted.append(A.shape) or inertia(A)
+        )
+        M, theta = identifiability._gram_threshold(delay_embed(x, 0.5), 1e-8)
+        assert identifiability._few_directions(M, theta)
+        report = identifiability._analyze_curve(x, 0.5, 1e-8)
+        assert not report.finite_dimensional and report.singular_values is not None
+        assert counted == [(33, 33)]
+        assert_same_report(report, certificate_first_report(x, 0.5, 1e-8))
+
+    def test_broadband_curves_consult_the_certificate_first(self, noisy_design):
+        design, _ = noisy_design
+        for obs in design.observations:
+            H = delay_embed(obs.x[0], design.lags[0])
+            M, theta = identifiability._gram_threshold(H, 1e-8)
+            assert not identifiability._few_directions(M, theta)
+            assert identifiability._certified_broadband(H, 1e-8)
 
 
 class TestDiagnose:
