@@ -8,9 +8,10 @@ writers are atomic, through :func:`fcmlab.util.atomic_write`: content
 goes to a temporary file in the destination directory and is renamed
 into place, so readers never observe partial output. JSON files are
 streamed as the encoder produces them, never held as one text. The
-spectrum and residual CSVs go through :func:`fcmlab.util.write_csv`,
-which streams its rows in blocks. The other two stream the same bytes
-with less formatting: curve CSVs go through
+spectrum CSV goes through :func:`fcmlab.util.write_csv`, which streams
+its rows in blocks, and the residual CSV through
+:func:`fcmlab.util.write_csv_blocks`, one curve at a time. The other
+two stream the same bytes with less formatting: curve CSVs go through
 :func:`fcmlab.grids.write_grid_csv`, which formats a grid's time
 column once for all curves on it, and :func:`write_flm_csv` formats
 each observation's segment of each covariate curve once and cuts every
@@ -39,6 +40,7 @@ from fcmlab.util import (
     read_json_object,
     reject_non_finite,
     write_csv,
+    write_csv_blocks,
 )
 
 if TYPE_CHECKING:
@@ -251,15 +253,15 @@ def write_residual_curves_csv(path, report: DiagnosisReport) -> None:
     """Write every residual-vs-order curve as ``observation,covariate,K,residual``.
 
     A curve certified broadband has no residual curve and writes no rows.
+    The rows are formatted and written one curve at a time.
     """
-    rows = [
+    blocks = (
         np.column_stack([np.full(c.size, i), np.full(c.size, j), np.arange(c.size), c])
         for i, row in enumerate(report.covariate_reports)
         for j, rep in enumerate(row)
         if (c := rep.residual_curve) is not None
-    ]
-    rows = np.concatenate(rows) if rows else np.empty((0, 4))
-    write_csv(path, ["observation", "covariate", "K", "residual"], [rows])
+    )
+    write_csv_blocks(path, ["observation", "covariate", "K", "residual"], blocks)
 
 
 def _window_text(segment: np.ndarray, rows: int, stride: int) -> tuple[str, list[slice]]:

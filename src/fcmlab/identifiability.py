@@ -16,7 +16,9 @@ energy at each order, and recovers the continuous-time mode parameters
 from the recurrence roots. A curve whose embedding Gram has too many
 eigenvalues above the tolerance to be explained by half of its
 spectrum is certified broadband from the inertia of that Gram, with no
-singular value decomposition. A few pivots of a pivoted Cholesky
+singular value decomposition. The Gram comes from the curve's
+autocorrelation and end samples; only the singular values form the
+embedding matrix. A few pivots of a pivoted Cholesky
 factorization of the Gram route each curve: one they explain takes
 its singular values first and reaches the certificate (and scipy,
 which counts the inertia) only if the order search does not find it
@@ -26,7 +28,8 @@ finite-dimensional. The route never changes a report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -79,15 +82,13 @@ class SpectrumReport:
 
     ``eigenvalues`` are sorted descending in the weighted geometry;
     ``numerical_rank`` counts those at or above ``tol`` times the
-    largest. ``null_basis`` holds coefficient directions (zero
-    intercept and scalar parts) spanning the numerically unseen
-    subspace, orthonormal in the quadrature-weighted inner product.
+    largest. ``_system`` is the assembled system they come from.
     """
 
     eigenvalues: np.ndarray
     numerical_rank: int
-    null_basis: tuple[CoefficientSet, ...]
     tol: float
+    _system: GramSystem = field(repr=False, compare=False)
 
     @property
     def block_size(self) -> int:
@@ -97,27 +98,41 @@ class SpectrumReport:
     def full_rank(self) -> bool:
         return self.numerical_rank == self.block_size
 
+    @cached_property
+    def null_basis(self) -> tuple[CoefficientSet, ...]:
+        """Coefficient directions spanning the numerically unseen subspace.
+
+        They have zero intercept and scalar parts, are orthonormal in the
+        quadrature-weighted inner product, and follow the order of the
+        ``block_size - numerical_rank`` smallest eigenvalues. Built on
+        first access from an eigendecomposition of the block with
+        vectors, since :func:`gram_spectrum` decomposes values only.
+        """
+        if self.full_rank:
+            return ()
+        imap = self._system.index_map
+        blk = imap.covariate_block
+        _, vecs, S = self._system.weighted_eigh(blk)
+        basis = []
+        for k in range(self.block_size - self.numerical_rank - 1, -1, -1):
+            c = np.zeros(imap.size)
+            c[blk] = vecs[:, k] / S
+            basis.append(imap.unpack(c))
+        return tuple(basis)
+
 
 def gram_spectrum(system: GramSystem, tol: float) -> SpectrumReport:
-    """Eigendecompose the covariate block of ``G`` in weighted form.
+    """Eigenvalues of the covariate block of ``G`` in weighted form.
 
     The block is symmetrized by the square roots of the lag quadrature
     weights before the decomposition, so eigenvalues approximate the
-    continuous Gram operator's spectrum and eigenvectors map back to
-    kernel directions orthonormal in the discrete L2 inner product.
+    continuous Gram operator's spectrum. The decomposition computes
+    values only; the report's ``null_basis`` decomposes the block again,
+    with vectors, when it is first read.
     """
-    imap = system.index_map
-    blk = imap.covariate_block
-    evals, vecs, S = system.weighted_eigh(blk)
-    evals, vecs = evals[::-1], vecs[:, ::-1]
-    rank = numerical_rank(evals, tol)
-    basis = []
-    for k in range(rank, evals.size):
-        c = np.zeros(imap.size)
-        c[blk] = vecs[:, k] / S
-        basis.append(imap.unpack(c))
+    evals = system.weighted_eigh(system.index_map.covariate_block, vectors=False)[0][::-1]
     evals.setflags(write=False)
-    return SpectrumReport(evals, rank, tuple(basis), float(tol))
+    return SpectrumReport(evals, numerical_rank(evals, tol), float(tol), system)
 
 
 def delay_embed(x: GridFunction, alpha: float) -> np.ndarray:
@@ -128,12 +143,18 @@ def delay_embed(x: GridFunction, alpha: float) -> np.ndarray:
     domain. The rank of ``H`` is the dimension of the sampled shift
     family of ``x`` over that window.
     """
+    L = _window_steps(x, alpha)
+    return delay_matrix(x.values, np.arange(L, len(x)), L)
+
+
+def _window_steps(x: GridFunction, alpha: float) -> int:
+    """Grid steps ``L`` of the embedding window ``alpha``: at least one, and fewer than ``len(x)``."""
     L = snap_to_index(float(alpha) / x.step, what=f"window {alpha!r}")
     if L < 1:
         raise GridError(f"window {alpha!r} must span at least one step")
     if len(x) - 1 < L:
         raise GridError("curve domain is shorter than the embedding window")
-    return delay_matrix(x.values, np.arange(L, len(x)), L)
+    return L
 
 
 def fit_recurrence(x: GridFunction, order: int) -> np.ndarray:
@@ -252,7 +273,7 @@ class SelfSimilarityReport:
     the latest. ``recurrence_coeffs`` and ``modes`` are populated when
     the order is parsimonious (see :attr:`finite_dimensional`) and the
     recurrence at that order is well posed; otherwise they are None.
-    A curve certified broadband (see :func:`_certified_broadband`) has
+    A curve certified broadband (see :func:`_inertia_certifies`) has
     no singular values and no order: both are None, and so are its
     residual and residual curve.
     """
@@ -262,12 +283,14 @@ class SelfSimilarityReport:
     recurrence_coeffs: np.ndarray | None
     modes: tuple[Mode, ...] | None
 
-    @property
+    @cached_property
     def residual_curve(self) -> np.ndarray | None:
-        """Relative tail energy for every order ``K = 0 .. len(sigma)``."""
+        """Relative tail energy for every order ``K = 0 .. len(sigma)``, computed once per report."""
         if self.singular_values is None:
             return None
-        return _tail_energy(self.singular_values)
+        curve = _tail_energy(self.singular_values)
+        curve.setflags(write=False)
+        return curve
 
     @property
     def residual(self) -> float | None:
@@ -364,69 +387,70 @@ def _positive_inertia(A: np.ndarray) -> int:
     return int(np.count_nonzero((ipiv > 0) & (d > 0.0)) + np.count_nonzero(det < 0.0))
 
 
-def _embedding_gram(H: np.ndarray) -> np.ndarray:
-    """``H' H`` for a delay embedding ``H``, by the lag-shift recurrence.
+def _embedding_gram(x: GridFunction, alpha: float) -> np.ndarray:
+    """``H' H`` for the delay embedding ``H = delay_embed(x, alpha)``, without forming ``H``.
 
     The Gram of a delay matrix has the displacement structure that
     :func:`fcmlab.estimator.assemble` uses (Kailath, Kung & Morf, J.
-    Math. Anal. Appl. 68, 1979): it follows from its first row and the
-    first and last rows of ``H``, in ``O(R n + n^2)`` for ``R`` rows and
-    ``n`` columns, against ``O(R n^2)`` for the product.
+    Math. Anal. Appl. 68, 1979): it follows from its first row ``H[:, 0]
+    @ H``, the curve's autocorrelation over the window's lags, and the
+    first and last rows of ``H``, the curve's first and last ``L + 1``
+    samples reversed. For ``N`` samples and ``n = L + 1`` columns that is
+    ``O(N n + n^2)`` work and ``O(n^2)`` memory, against ``O(N n^2)`` and
+    ``O(N n)`` through ``H``. A window under one step or longer than the
+    curve raises the :class:`GridError` of :func:`delay_embed`.
     """
-    first = H[:, 0] @ H
-    U, V = H[0][:, None], H[-1][:, None]
+    L = _window_steps(x, alpha)
+    v = x.values
+    first = np.correlate(v, v[L:])[::-1]
+    U, V = v[L::-1, None], v[::-1][: L + 1, None]
     return _lag_shift_fill(first[None], first[None], U, U, V, V, 1)[0]
 
 
-def _gram_threshold(H: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    """The embedding Gram ``M`` of ``H`` and the certificate's threshold ``theta``.
+def _gram_threshold(x: GridFunction, alpha: float, tol: float) -> tuple[np.ndarray, float]:
+    """The embedding Gram ``M`` of ``x`` over ``alpha`` and the certificate's threshold ``theta``.
 
-    See :func:`_certified_broadband`.
+    ``M`` comes from :func:`_embedding_gram`; ``theta = (tol**2 + rho)
+    trace(M)`` with ``rho = 8 n (N + n) eps``, for ``n = L + 1`` columns
+    over a curve of ``N`` samples and ``eps`` the machine epsilon.
+    ``rho`` covers rounding. Each entry of ``M`` sums at most ``N + 2n``
+    products of samples whose absolute values add up to at most ``3
+    ||x||^2 <= 3 trace(M)`` (every sample enters some column of ``H``),
+    so the computed ``M`` lies within ``3 n (N + n + 1) eps trace(M)`` of
+    the exact one in the 2-norm. Without element growth, the
+    factorization's inertia is exact for a matrix within ``n eps ||M||``
+    of ``M - theta I``. Together that is at most ``rho / 2`` times the
+    trace; the other half of ``rho`` is the margin for the rounding of
+    the singular values the certificate stands in for. Adding ``rho`` to
+    ``tol**2``, rather than taking the larger of the two, keeps that
+    margin for any ``tol``. See :func:`_inertia_certifies`.
     """
-    R, n = H.shape
-    N = R + n - 1
-    M = _embedding_gram(H)
-    rho = 8.0 * n * (N + n) * np.finfo(float).eps
+    M = _embedding_gram(x, alpha)
+    n = M.shape[0]
+    rho = 8.0 * n * (len(x) + n) * np.finfo(float).eps
     return M, (float(tol) ** 2 + rho) * float(np.trace(M))
 
 
 def _inertia_certifies(M: np.ndarray, theta: float) -> bool:
-    """Whether more than half of the eigenvalues of ``M`` exceed ``theta``; ``M`` is overwritten."""
+    """The broadband certificate: whether more than half of the eigenvalues of ``M`` exceed ``theta``.
+
+    ``M`` and ``theta`` come from :func:`_gram_threshold`, and ``M`` is
+    overwritten. With ``half = n // 2`` for ``n`` columns, the curve is
+    certified when at least ``half + 1`` eigenvalues of ``M`` exceed
+    ``theta``, counted as the positive inertia of ``M - theta I``. Then
+    ``sigma[half]**2 > tol**2 * ||sigma||**2`` for the singular values
+    ``sigma`` of the embedding, so their tail energy is at least ``tol``
+    at every order up to ``half``: the order search of
+    :func:`_analyze_curve` would end past ``half`` and find the curve not
+    finite-dimensional. So a curve that the order search finds
+    finite-dimensional is never certified, which is what lets
+    :func:`_analyze_curve` skip the certificate for such a curve.
+    """
     if not (np.isfinite(theta) and theta > 0.0):
         return False
     n = M.shape[0]
     M[np.diag_indices(n)] -= theta
     return _positive_inertia(M) > n // 2
-
-
-def _certified_broadband(H: np.ndarray, tol: float) -> bool:
-    """Whether the delay embedding ``H`` is too rich for half of its spectrum.
-
-    ``H`` has ``n = L + 1`` columns over a curve of ``N`` samples, and
-    ``M = H' H`` comes from :func:`_embedding_gram`. With ``half = n //
-    2`` and ``theta = (tol**2 + rho) * trace(M)``, the curve is certified
-    when at least ``half + 1`` eigenvalues of ``M`` exceed ``theta``,
-    counted as the positive inertia of ``M - theta I``. Then
-    ``sigma[half]**2 > tol**2 * ||sigma||**2``, so the singular-value
-    tail energy is at least ``tol`` at every order up to ``half``: the
-    order search of :func:`_analyze_curve` would end past ``half`` and
-    find the curve not finite-dimensional. So a curve that the order
-    search finds finite-dimensional is never certified, which is what
-    lets :func:`_analyze_curve` skip the certificate for such a curve.
-
-    ``rho = 8 n (N + n) eps``, with ``eps`` the machine epsilon, covers
-    rounding. Each entry of ``M`` sums at most ``N + 2n`` products of
-    samples whose absolute values add up to at most ``3 ||x||^2 <= 3
-    trace(M)`` (every sample enters some column of ``H``), so the
-    computed ``M`` lies within ``3 n (N + n + 1) eps trace(M)`` of the
-    exact one in the 2-norm. Without element growth, the factorization's
-    inertia is exact for a matrix within ``n eps ||M||`` of ``M - theta
-    I``. Together that is at most ``rho / 2`` times the trace; the other
-    half of ``rho`` is the margin for the rounding of the singular values
-    the certificate stands in for. Adding ``rho`` to ``tol**2``, rather
-    than taking the larger of the two, keeps that margin for any ``tol``.
-    """
-    return _inertia_certifies(*_gram_threshold(H, tol))
 
 
 def _few_directions(M: np.ndarray, theta: float) -> bool:
@@ -458,9 +482,9 @@ def _few_directions(M: np.ndarray, theta: float) -> bool:
     return bool(residual.sum() <= theta)
 
 
-def _svd_report(x: GridFunction, H: np.ndarray, tol: float) -> SelfSimilarityReport:
-    """The report of a curve from the singular values of its embedding ``H`` and the order search."""
-    s = np.linalg.svd(H, compute_uv=False)
+def _svd_report(x: GridFunction, alpha: float, tol: float) -> SelfSimilarityReport:
+    """The report of a curve from the singular values of its embedding over ``alpha`` and the order search."""
+    s = np.linalg.svd(delay_embed(x, alpha), compute_uv=False)
     s.setflags(write=False)
     # The last tail is zero, so some K >= 1 is always below tol.
     order = 1 + int(np.argmax(_tail_energy(s)[1:] < tol))
@@ -477,28 +501,27 @@ def _svd_report(x: GridFunction, H: np.ndarray, tol: float) -> SelfSimilarityRep
 def _analyze_curve(x: GridFunction, alpha: float, tol: float) -> SelfSimilarityReport:
     """Self-similarity report of one curve; see :class:`SelfSimilarityReport`.
 
-    A curve certified by :func:`_certified_broadband` gets a report with
+    A curve certified by :func:`_inertia_certifies` gets a report with
     no singular values, order or recurrence; every other curve gets the
     report of the singular values of its embedding and the order search.
     What runs first is routed by :func:`_few_directions` on the
-    embedding Gram ``M``, which is formed once for both. A curve whose
-    ``M`` a few Cholesky pivots explain takes the singular values first:
-    if the order search finds it finite-dimensional, the certificate
-    could not have fired (see :func:`_certified_broadband`), so it is
-    not consulted; otherwise it is, and a certified curve gets the null
-    report. Every other curve consults the certificate first, at no
-    singular value decomposition when it fires. The routing decides only
+    embedding Gram ``M``, which is formed once for both, from the curve
+    (:func:`_gram_threshold`). A curve whose ``M`` a few Cholesky pivots
+    explain takes the singular values first: if the order search finds
+    it finite-dimensional, the certificate could not have fired, so it
+    is not consulted; otherwise it is, and a certified curve gets the
+    null report. Every other curve consults the certificate first, and
+    forms no embedding matrix when it fires. The routing decides only
     what runs first: every report is the one the certificate-first order
     gives.
     """
-    H = delay_embed(x, alpha)
-    M, theta = _gram_threshold(H, tol)
-    report = _svd_report(x, H, tol) if _few_directions(M, theta) else None
+    M, theta = _gram_threshold(x, alpha, tol)
+    report = _svd_report(x, alpha, tol) if _few_directions(M, theta) else None
     if report is not None and report.finite_dimensional:
         return report
     if _inertia_certifies(M, theta):
         return SelfSimilarityReport(None, None, None, None)
-    return _svd_report(x, H, tol) if report is None else report
+    return _svd_report(x, alpha, tol) if report is None else report
 
 
 def diagnose(design: Design, tol: float = DEFAULT_RESIDUAL_TOL) -> DiagnosisReport:

@@ -100,17 +100,29 @@ def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> Non
     with :data:`CELL_FORMAT`.
     """
     cols = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
-    width = sum(c.shape[1] for c in cols)
-    template = ",".join([CELL_FORMAT] * width) + "\n"
-    rows = block_rows(width)
+    rows = block_rows(sum(c.shape[1] for c in cols))
+    blocks = (
+        np.concatenate([c[k : k + rows] for c in cols], axis=1, dtype=float)
+        for k in range(0, len(cols[0]), rows)
+    )
+    write_csv_blocks(path, header, blocks)
 
-    def blocks():
+
+def write_csv_blocks(path, header: Sequence[str], blocks: Iterable[np.ndarray]) -> None:
+    """Write the rows of the 2-D float arrays ``blocks``, in order, under ``header`` as CSV, atomically.
+
+    Every cell is formatted with :data:`CELL_FORMAT`. Each block is
+    formatted and written before the next is taken, so a generator of
+    blocks never holds the whole table in memory.
+    """
+
+    def text():
         yield ",".join(header) + "\n"
-        for k in range(0, len(cols[0]), rows):
-            block = np.concatenate([c[k : k + rows] for c in cols], axis=1, dtype=float)
+        for block in blocks:
+            template = ",".join([CELL_FORMAT] * block.shape[1]) + "\n"
             yield "".join([template % tuple(r) for r in block.tolist()])
 
-    atomic_write(path, blocks())
+    atomic_write(path, text())
 
 
 def json_value(value, kind: type, key: str, field: str | None = None):

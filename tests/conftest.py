@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from fcmlab import identifiability
 from fcmlab.designs import GeneratorSpec, NoiseSpec, gen_design
 from fcmlab.errors import NearSingularError, ValidationError
+from fcmlab.estimator import _lag_shift_fill
 from fcmlab.grids import ALIGN_RTOL, GridFunction
 from fcmlab.identifiability import SelfSimilarityReport
 from fcmlab.model import CoefficientIndexMap, CoefficientSet, Design, Observation, RowSet, delay_matrix
@@ -203,16 +205,36 @@ def _sample_line(path, k: int) -> int:
         return [reader.line_num for row in reader if row][k]
 
 
-# The reference curve analysis: the broadband certificate first, then
-# the singular values for every curve it does not certify.
-# `_analyze_curve`, which takes the singular values first for curves
+# The reference curve analysis: the broadband certificate on the Gram
+# of the delay embedding `H` first, then the singular values for every
+# curve it does not certify. `_analyze_curve`, which forms the Gram from
+# the curve without `H` and takes the singular values first for curves
 # that a few Cholesky pivots explain, must give the same reports.
+
+
+def embedding_gram(H: np.ndarray) -> np.ndarray:
+    """``H' H`` for a delay embedding ``H``, from its first row ``H[:, 0] @ H`` and its end rows."""
+    first = H[:, 0] @ H
+    U, V = H[0][:, None], H[-1][:, None]
+    return _lag_shift_fill(first[None], first[None], U, U, V, V, 1)[0]
+
+
+def certified_broadband(H: np.ndarray, tol: float) -> bool:
+    """The certificate of ``identifiability._inertia_certifies`` on ``embedding_gram(H)``.
+
+    ``theta`` is the threshold of ``identifiability._gram_threshold`` for
+    ``n`` columns over a curve of ``R + n - 1`` samples.
+    """
+    R, n = H.shape
+    M = embedding_gram(H)
+    rho = 8.0 * n * (R + 2 * n - 1) * np.finfo(float).eps
+    return identifiability._inertia_certifies(M, (float(tol) ** 2 + rho) * float(np.trace(M)))
 
 
 def certificate_first_report(x: GridFunction, alpha: float, tol: float) -> SelfSimilarityReport:
     """The self-similarity report of ``x`` with the certificate consulted first."""
     H = identifiability.delay_embed(x, alpha)
-    if identifiability._certified_broadband(H, tol):
+    if certified_broadband(H, tol):
         return SelfSimilarityReport(None, None, None, None)
     s = np.linalg.svd(H, compute_uv=False)
     order = 1 + int(np.argmax(identifiability._tail_energy(s)[1:] < tol))
@@ -237,3 +259,40 @@ def assert_same_report(got: SelfSimilarityReport, expected: SelfSimilarityReport
     assert got.estimated_order == expected.estimated_order
     assert raw(got.recurrence_coeffs) == raw(expected.recurrence_coeffs)
     assert repr(got.modes) == repr(expected.modes)
+
+
+# The reference residual writer: every curve's rows, then their
+# concatenation, through `write_csv`. `write_residual_curves_csv`, which
+# streams one curve at a time, must write the same bytes.
+
+
+def write_residual_curves_whole(path, report) -> None:
+    """Write every residual-vs-order curve of ``report`` from one table of all rows."""
+    rows = [
+        np.column_stack([np.full(c.size, i), np.full(c.size, j), np.arange(c.size), c])
+        for i, row in enumerate(report.covariate_reports)
+        for j, rep in enumerate(row)
+        if (c := rep.residual_curve) is not None
+    ]
+    rows = np.concatenate(rows) if rows else np.empty((0, 4))
+    write_csv(path, ["observation", "covariate", "K", "residual"], [rows])
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the peak of the memory traced during the call, in bytes.
+
+    The peak counts what the call allocated beyond what was traced when
+    it began; numpy reports its array buffers to ``tracemalloc``.
+    """
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak

@@ -27,11 +27,12 @@ from fcmlab.model import (
     CoefficientSet,
     Design,
     Observation,
+    delay_matrix,
     predict,
     sse,
 )
 
-from conftest import flm_rows, observation_rows
+from conftest import flm_rows, observation_rows, traced_peak
 
 
 def single_obs_design(x_values, step, alpha, y_values=None):
@@ -155,6 +156,54 @@ class TestAssemble:
             tol = ASSEMBLY_RTOL * W.sum()
             assert abs(sse(design, coef) - W @ (y - fitted) ** 2) <= tol * scale**2
             assert abs(quadratic_form(design, coef) - W @ kernels**2) <= tol * np.max(np.abs(kernels)) ** 2
+
+    @given(
+        design=small_designs(),
+        cells=st.sampled_from([1, 5, 16, 64]),
+        stride=st.sampled_from([1, 4]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_row_blocks_match_the_dense_rows(self, design, cells, stride):
+        # Budgets this small split every observation into blocks of one
+        # to a few rows.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimator, "_ASSEMBLY_BLOCK_CELLS", cells)
+            if stride == 1:
+                system = assemble(design)
+                G, F = dense_normal_equations(design)
+            else:
+                flm = to_flm(design, stride * design.step)
+                system = flm_normal_equations(flm)
+                A, y = flm_rows(flm)
+                G, F = A.T @ A, A.T @ y
+        assert np.array_equal(system.G, system.G.T)
+        assert_close_to_dense(system.G, G)
+        assert_close_to_dense(system.F, F)
+
+    def test_one_block_is_the_whole_product(self):
+        # An observation of the selfsimilar-many benchmark design: 321
+        # rows of a 66-sample window fit in one block, so its products,
+        # and its fit, are those of the whole delay matrix.
+        rng = np.random.default_rng(12)
+        seg, R = rng.standard_normal(386), rng.standard_normal((4, 321))
+        rows = 65 + np.arange(321)
+        assert rows.size * 66 <= estimator._ASSEMBLY_BLOCK_CELLS
+        whole = R @ delay_matrix(seg, rows, 65)
+        assert estimator._delay_product(R, seg, rows, 65).tobytes() == whole.tobytes()
+
+    def test_peak_memory_stays_below_the_delay_matrix(self):
+        # One observation of 40001 samples and a 65-sample window: its
+        # delay matrix would hold R * m = 2.6 million cells (20 MB).
+        N, L = 40001, 64
+        rng = np.random.default_rng(3)
+        design = single_obs_design(rng.standard_normal(N), 1.0 / 64.0, L / 64.0, rng.standard_normal(N))
+        system, peak = traced_peak(assemble, design)
+        R = N - L
+        # A few copies of G, one block, and vectors of one entry per row:
+        # the row weights, the weighted responses, the lag columns of the
+        # curve and the row indices.
+        bound = 4 * system.G.nbytes + 8 * estimator._ASSEMBLY_BLOCK_CELLS + 8 * 8 * R
+        assert peak <= bound < R * (L + 1) * 8
 
     def test_zero_covariate_zeroes_the_block(self):
         design = single_obs_design(np.zeros(9), 0.25, 1.0)

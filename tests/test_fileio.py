@@ -15,6 +15,8 @@ from fcmlab.grids import GridFunction
 from fcmlab.identifiability import diagnose
 from fcmlab.model import CoefficientSet, Design, Observation
 
+from conftest import traced_peak, write_residual_curves_whole
+
 # Doubles whose text is easy to get wrong: a signed zero, the smallest
 # subnormal, a huge value and a short negative one.
 SPECIAL = [-0.0, 5e-324, 1e300, -1.5]
@@ -370,6 +372,38 @@ class TestCsvBytes:
         ]
         header = ["observation", "covariate", "K", "residual"]
         assert path.read_text() == reference_csv(header, rows)
+
+    def test_residual_curves_csv_streams_the_bytes_of_the_whole_table(
+        self, tmp_path, noisy_design, deficient_design
+    ):
+        # Certified and uncertified curves, reports with no rows, and
+        # curves longer than a block of `write_csv`.
+        rng = np.random.default_rng(9)
+        synthetic = [
+            [[rng.uniform(size=n) for n in (1, 66)], [None, np.array(SPECIAL)]],
+            [[None], [None]],
+            [[rng.uniform(size=5000), None, rng.uniform(size=4096)]],
+        ]
+        reports = [diagnose(noisy_design[0]), diagnose(deficient_design[0])] + [
+            SimpleNamespace(
+                covariate_reports=[[SimpleNamespace(residual_curve=c) for c in row] for row in rows]
+            )
+            for rows in synthetic
+        ]
+        for k, report in enumerate(reports):
+            got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"
+            fileio.write_residual_curves_csv(got, report)
+            write_residual_curves_whole(want, report)
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_residual_curves_csv_holds_one_curve_at_a_time(self, tmp_path):
+        # 2000 curves of 66 orders: 4.2 MB of rows as one table.
+        curves = np.random.default_rng(2).uniform(size=(2000, 66))
+        report = SimpleNamespace(
+            covariate_reports=[[SimpleNamespace(residual_curve=c)] for c in curves]
+        )
+        _, peak = traced_peak(fileio.write_residual_curves_csv, tmp_path / "res.csv", report)
+        assert peak < curves.size * 4 * 8 / 4
 
     @pytest.mark.parametrize(
         "stride, rows_per_block",

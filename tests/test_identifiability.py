@@ -21,7 +21,7 @@ from fcmlab.identifiability import (
 )
 from fcmlab.model import CoefficientSet, Design, Observation
 
-from conftest import assert_same_report, certificate_first_report
+from conftest import assert_same_report, certificate_first_report, traced_peak
 
 
 def curve(fn, T=2.0, step=1.0 / 256.0):
@@ -318,10 +318,44 @@ class TestBroadbandCertificate:
     def test_embedding_gram_matches_the_product(self):
         rng = np.random.default_rng(5)
         for size, L in ((9, 1), (40, 7), (200, 64)):
-            H = delay_embed(GridFunction(0.0, 0.5, rng.standard_normal(size)), L * 0.5)
-            M = identifiability._embedding_gram(H)
+            x = GridFunction(0.0, 0.5, rng.standard_normal(size))
+            M = identifiability._embedding_gram(x, L * 0.5)
+            H = delay_embed(x, L * 0.5)
             ref = H.T @ H
             assert np.abs(M - ref).max() <= 1e-12 * np.trace(ref)
+
+    @given(
+        kind=st.sampled_from(["random", "zero", "constant"]),
+        size=st.integers(2, 80),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_curve_gram_is_the_product_within_the_rounding_bound(self, kind, size, data):
+        # The bound is the rho / 2 * trace(M) of `_gram_threshold`'s
+        # docstring, rho = 8 n (N + n) eps, in the 2-norm.
+        L = data.draw(st.integers(1, size - 1), label="L")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if kind == "random":
+            values = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4)
+        else:
+            values = np.full(size, 0.0 if kind == "zero" else rng.uniform(-2.0, 2.0))
+        x = GridFunction(0.0, 0.25, values)
+        M = identifiability._embedding_gram(x, L * 0.25)
+        H = delay_embed(x, L * 0.25)
+        ref = H.T @ H
+        n = L + 1
+        rho = 8.0 * n * (size + n) * np.finfo(float).eps
+        assert M.shape == ref.shape
+        assert np.linalg.norm(M - ref, 2) <= 0.5 * rho * np.trace(ref)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 2.5, 0.3 / 4.0, -0.25])
+    def test_curve_gram_refuses_the_windows_delay_embed_refuses(self, alpha):
+        x = GridFunction(0.0, 0.25, np.arange(10.0))  # 9 steps: 2.25 at most
+        with pytest.raises(GridError) as embed:
+            delay_embed(x, alpha)
+        with pytest.raises(GridError) as gram:
+            identifiability._embedding_gram(x, alpha)
+        assert str(gram.value) == str(embed.value)
 
     def test_positive_inertia_counts_positive_eigenvalues(self):
         rng = np.random.default_rng(8)
@@ -339,7 +373,7 @@ class TestBroadbandCertificate:
         x, alpha, tol, order = case
         H = delay_embed(x, alpha)
         half = H.shape[1] // 2
-        if not identifiability._certified_broadband(H, tol):
+        if not identifiability._inertia_certifies(*identifiability._gram_threshold(x, alpha, tol)):
             return
         # A curve of order at most half satisfies a short recurrence.
         assert order is None or order > half
@@ -373,7 +407,7 @@ class TestRouting:
         # ceil(sqrt(n)) pivots of an n-column window (6 at n = 33, 9 at 65).
         a, b, m, order = member
         x = _family_curve(a, b, m, 6.0, 1.0 / 64.0)
-        M, theta = identifiability._gram_threshold(delay_embed(x, alpha), 1e-8)
+        M, theta = identifiability._gram_threshold(x, alpha, 1e-8)
         assert identifiability._few_directions(M, theta)
         report = identifiability._analyze_curve(x, alpha, 1e-8)
         assert report.estimated_order == order and report.modes is not None
@@ -390,20 +424,34 @@ class TestRouting:
         monkeypatch.setattr(
             identifiability, "_positive_inertia", lambda A: counted.append(A.shape) or inertia(A)
         )
-        M, theta = identifiability._gram_threshold(delay_embed(x, 0.5), 1e-8)
+        M, theta = identifiability._gram_threshold(x, 0.5, 1e-8)
         assert identifiability._few_directions(M, theta)
         report = identifiability._analyze_curve(x, 0.5, 1e-8)
         assert not report.finite_dimensional and report.singular_values is not None
         assert counted == [(33, 33)]
         assert_same_report(report, certificate_first_report(x, 0.5, 1e-8))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "max_frequency, bandwidth", [(6.0, 0.02), (0.4 * 128.0, 1.0 / 128.0), (2.0, 0.5)]
+    )
+    @pytest.mark.parametrize("alpha", [0.25, 1.0])
+    def test_filtered_noise_gives_the_certificate_first_report(self, seed, max_frequency, bandwidth, alpha):
+        spec = GeneratorSpec(
+            "filtered_noise", 3.0, 1.0 / 128.0, seed=seed,
+            params={"n_modes": 128, "max_frequency": max_frequency, "bandwidth": bandwidth},
+        )
+        x = gen_covariate(spec)
+        for tol in (1e-8, 1e-3):
+            expected = certificate_first_report(x, alpha, tol)
+            assert_same_report(identifiability._analyze_curve(x, alpha, tol), expected)
+
     def test_broadband_curves_consult_the_certificate_first(self, noisy_design):
         design, _ = noisy_design
         for obs in design.observations:
-            H = delay_embed(obs.x[0], design.lags[0])
-            M, theta = identifiability._gram_threshold(H, 1e-8)
+            M, theta = identifiability._gram_threshold(obs.x[0], design.lags[0], 1e-8)
             assert not identifiability._few_directions(M, theta)
-            assert identifiability._certified_broadband(H, 1e-8)
+            assert identifiability._inertia_certifies(M, theta)
 
 
 class TestDiagnose:
@@ -490,6 +538,56 @@ class TestDiagnose:
                     else:
                         assert rep.residual == rep.residual_curve[rep.estimated_order]
         assert certified == noisy_design[0].n
+
+    def test_certified_curve_forms_no_embedding(self):
+        # One observation of 8193 samples and a 257-sample window: the
+        # embedding has 7937 rows, 16 MB, against 1 MB for an assembly
+        # block and 0.5 MB for the embedding's Gram.
+        step = 1.0 / 128.0
+        spec = GeneratorSpec(
+            "filtered_noise", 64.0, step, seed=6,
+            params={"n_modes": 256, "max_frequency": 0.4 / step, "bandwidth": step},
+        )
+        design = curve_design(gen_covariate(spec), 2.0)
+        report, peak = traced_peak(diagnose, design)
+        assert report.covariate_reports[0][0].singular_values is None
+        R, n = delay_embed(design.observations[0].x[0], 2.0).shape
+        assert peak < 0.5 * R * n * 8
+
+    def test_spectrum_decomposes_values_only(self, monkeypatch, deficient_design):
+        # The null basis is built on first access, from a decomposition
+        # with vectors that spans the subspace the eager one spanned.
+        design, _ = deficient_design
+
+        def no_vectors(*args, **kwargs):
+            raise AssertionError("eigenvectors computed")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_vectors)
+        report = diagnose(design, tol=1e-10)
+        monkeypatch.undo()
+        spectrum = report.spectrum
+        assert not spectrum.full_rank
+        system = assemble(design)
+        blk = system.index_map.covariate_block
+        _, vecs, S = system.weighted_eigh(blk)
+        eager = vecs[:, : spectrum.block_size - spectrum.numerical_rank]
+        lazy = np.column_stack([system.index_map.pack(v)[blk] * S for v in spectrum.null_basis])
+        assert lazy.shape == eager.shape
+        assert np.max(scipy.linalg.subspace_angles(lazy, eager)) <= 1e-8
+        assert spectrum.null_basis is spectrum.null_basis
+
+    def test_residual_curve_is_computed_once_per_report(self, monkeypatch):
+        calls = []
+        tail_energy = identifiability._tail_energy
+        monkeypatch.setattr(
+            identifiability, "_tail_energy", lambda s: calls.append(s) or tail_energy(s)
+        )
+        rep = identifiability.SelfSimilarityReport(np.array([3.0, 1.0, 1e-9]), 2, None, None)
+        first = rep.residual_curve
+        assert rep.residual == first[2] and rep.residual_curve is first
+        assert len(calls) == 1
+        with pytest.raises(ValueError):
+            first[0] = 0.0
 
     def test_null_directions_have_zero_quadratic_form(self, deficient_design):
         design, _ = deficient_design
