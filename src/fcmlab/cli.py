@@ -13,10 +13,8 @@ value of that field's type and range; explicit flags win over
 config-file values.
 
 Each command imports the modules it runs inside its handler, so
-``simulate``, ``fit``, ``downsample`` and ``reproduce --list`` never
-load scipy, and ``diagnose`` loads it only when a curve reaches the
-inertia count of the broadband certificate, which a design of
-low-order curves never does.
+``simulate``, ``downsample`` and ``reproduce --list`` load neither the
+estimator nor the diagnostics. The runtime needs numpy alone.
 """
 
 from __future__ import annotations
@@ -124,13 +122,14 @@ def _cmd_fit(config: RunConfig) -> int:
     if not config.design_path or not config.out_path:
         raise ValidationError("fit needs --design and --out")
     design = fileio.read_design(config.design_path)
-    result = fit(
-        design,
-        solver=_SOLVERS[config.solver],
-        lam=config.lam,
-        svd_rel_tol=config.svd_rel_tol,
-        allow_rank_deficient=config.allow_rank_deficient,
-    )
+    with naming(config.design_path):
+        result = fit(
+            design,
+            solver=_SOLVERS[config.solver],
+            lam=config.lam,
+            svd_rel_tol=config.svd_rel_tol,
+            allow_rank_deficient=config.allow_rank_deficient,
+        )
     fileio.write_fit_result(config.out_path, result)
     payload = fileio.fit_payload(result)
     summary = {k: payload[k] for k in ("solver_used", "sse", "gram_condition")}
@@ -144,7 +143,8 @@ def _cmd_diagnose(config: RunConfig) -> int:
     if not config.design_path or not config.out_path:
         raise ValidationError("diagnose needs --design and --out")
     design = fileio.read_design(config.design_path)
-    report = diagnose(design, tol=config.tol)
+    with naming(config.design_path):
+        report = diagnose(design, tol=config.tol)
     fileio.write_diagnosis(config.out_path, report)
     if config.spectrum_csv:
         fileio.write_spectrum_csv(config.spectrum_csv, report.spectrum.eigenvalues)

@@ -55,10 +55,11 @@ def naming(source, field: str | None = None):
     """Attribute every error raised inside the block to the input file ``source``.
 
     A :class:`ValidationError` that names no file gets ``source``, and
-    ``field`` when it names none; any other :class:`FcmlabError` becomes
-    a :class:`ValidationError` with its message, ``source`` and ``field``.
-    Each reader wraps the file it reads once, so the checks below it name
-    only the JSON path of what they reject.
+    ``field`` when it names none; a :class:`GridError` or
+    :class:`ConformalityError` becomes a :class:`ValidationError` with
+    its message, ``source`` and ``field``. A :class:`NearSingularError`
+    passes unchanged. Each reader wraps the file it reads once, so the
+    checks below it name only the JSON path of what they reject.
     """
     try:
         yield
@@ -68,7 +69,7 @@ def naming(source, field: str | None = None):
             if exc.field is None:
                 exc.field = field
         raise
-    except FcmlabError as exc:
+    except (GridError, ConformalityError) as exc:
         raise ValidationError(str(exc), source=source, field=field) from None
 
 

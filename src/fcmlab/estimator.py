@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from fcmlab.errors import ConformalityError, NearSingularError
+from fcmlab.errors import ConformalityError, NearSingularError, ValidationError
 from fcmlab.grids import quadrature_weights
 from fcmlab.model import CoefficientIndexMap, CoefficientSet, Design, RowSet, delay_matrix, sse
 from fcmlab.util import DEFAULT_SVD_RTOL, numerical_rank
@@ -124,6 +124,7 @@ def flm_normal_equations(rows: RowSet) -> GramSystem:
     return _normal_equations(rows, trapezoid=False)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _normal_equations(rows: RowSet, trapezoid: bool) -> GramSystem:
     """Normal equations of regression rows ``s`` grid steps apart.
 
@@ -154,7 +155,8 @@ def _normal_equations(rows: RowSet, trapezoid: bool) -> GramSystem:
     each covariate pair one ``O(m^2)`` fill, against ``O(R m^2)`` for
     ``A' A``. The sums run in another order than the dense route's, so
     entries differ from it by rounding, about 1e-15 of the largest.
-    ``G`` is exactly symmetric.
+    ``G`` is exactly symmetric. Finite samples whose products overflow
+    make ``G`` or ``F`` not finite, which raises :class:`ValidationError`.
     """
     imap = rows.index_map
     h, lead, s = imap.step, imap.d + 1, rows.stride
@@ -196,6 +198,8 @@ def _normal_equations(rows: RowSet, trapezoid: bool) -> GramSystem:
             G[sj, sk] = Q * np.outer(w[sj], w[sk])
     G = np.triu(G)
     G += np.triu(G, 1).T
+    if not (np.isfinite(G).all() and np.isfinite(F).all()):
+        raise ValidationError("the normal equations overflow: samples too large to square")
     return GramSystem(G, F, imap, w)
 
 
@@ -366,6 +370,8 @@ def fit(
     (``lam`` applies to the ridge path only); ``svd_rel_tol`` is the
     rank cut of the first two. ``allow_rank_deficient`` turns a
     :class:`NearSingularError` into a truncated solve of the same system.
+    Normal equations or a sum of squared errors that overflow raise
+    :class:`ValidationError`.
     """
     system = assemble(design)
     truncation_rank: int | None = None
@@ -382,10 +388,14 @@ def fit(
         solver = "truncated_svd"
     if solver == "truncated_svd":
         coef, truncation_rank = solve_truncated_svd(system, rel_tol=svd_rel_tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sse_value = sse(design, coef)
+    if not np.isfinite(sse_value):
+        raise ValidationError("the sum of squared errors overflows: samples too large to square")
     min_eig, max_eig = system.spectrum()[0][[0, -1]].tolist()
     return FitResult(
         coef=coef,
-        sse_value=sse(design, coef),
+        sse_value=sse_value,
         gram_min_eigenvalue=min_eig,
         gram_max_eigenvalue=max_eig,
         gram_condition=float("inf") if min_eig <= 0.0 else max_eig / min_eig,

@@ -15,14 +15,16 @@ detector sweeps the recurrence order, reports the tail singular-value
 energy at each order, and recovers the continuous-time mode parameters
 from the recurrence roots. A curve whose embedding Gram has too many
 eigenvalues above the tolerance to be explained by half of its
-spectrum is certified broadband from the inertia of that Gram, with no
-singular value decomposition. The Gram comes from the curve's
-autocorrelation and end samples; only the singular values form the
-embedding matrix. A few pivots of a pivoted Cholesky
-factorization of the Gram route each curve: one they explain takes
-its singular values first and reaches the certificate (and scipy,
-which counts the inertia) only if the order search does not find it
-finite-dimensional. The route never changes a report.
+spectrum is certified broadband with no singular value decomposition.
+The Gram comes from the curve's autocorrelation and end samples; only
+the singular values form the embedding matrix. One greedy pivoted
+Cholesky factorization serves twice. A few of its pivots on the Gram
+route each curve: one they explain takes its singular values first and
+reaches the certificate only if the order search does not find it
+finite-dimensional. Its positive pivots on the Gram shifted by the
+threshold certify the curve, with the eigenvalues counted exactly when
+they stop short. The route never changes a report. numpy is the only
+dependency.
 """
 
 from __future__ import annotations
@@ -249,12 +251,20 @@ def recurrence_modes(coeffs: np.ndarray, step: float) -> tuple[Mode, ...]:
     return tuple(modes)
 
 
+def _exponent(values: np.ndarray) -> int:
+    """The binary exponent of the largest absolute entry of ``values``: 0 for an empty or all-zero array."""
+    return int(np.frexp(np.max(np.abs(values), initial=0.0))[1])
+
+
 def _tail_energy(s: np.ndarray) -> np.ndarray:
     """Relative tail energy ``||s[K:]|| / ||s||`` for every ``K = 0 .. len(s)``.
 
     The last entry is zero by construction; an all-zero spectrum gives
-    all zeros.
+    all zeros. ``s`` is scaled by the power of two that brings its
+    largest entry into ``[0.5, 1)``, so no square overflows; the scaling
+    is exact and cancels in the ratio.
     """
+    s = np.ldexp(s, -_exponent(s))
     total = float(np.linalg.norm(s))
     if total == 0.0:
         return np.zeros(s.size + 1)
@@ -360,33 +370,6 @@ class DiagnosisReport:
     tol: float
 
 
-def _positive_inertia(A: np.ndarray) -> int:
-    """Number of positive eigenvalues of the symmetric ``A``, which is overwritten.
-
-    By Sylvester's law of inertia this is the number of positive
-    eigenvalues of ``D`` in the Bunch-Kaufman factorization ``A = L D
-    L'`` (LAPACK ``dsytrf``; Bunch & Kaufman, Math. Comp. 31, 1977).
-    ``D`` holds 1x1 and 2x2 blocks. Bunch-Kaufman pivoting takes a 2x2
-    block only when its determinant is negative, so that it has one
-    eigenvalue of each sign, and such a block counts once; any other
-    2x2 block, and a factor that is not finite, would undercount.
-    """
-    # Imported here rather than with the module: scipy's pages (about
-    # 20 MB) then load after `gram_spectrum` has released numpy's
-    # eigendecomposition workspace, and the two never add up in the peak
-    # memory of `diagnose`.
-    from scipy.linalg.lapack import dsytrf, dsytrf_lwork
-
-    lwork = int(dsytrf_lwork(A.shape[0], lower=1)[0])
-    ldu, ipiv, _ = dsytrf(A, lower=1, lwork=lwork, overwrite_a=1)
-    d = np.diagonal(ldu)
-    if not np.all(np.isfinite(d)):
-        return 0
-    k = np.flatnonzero(ipiv < 0)  # 2x2 blocks: consecutive pairs (k, k+1)
-    det = d[k[0::2]] * d[k[1::2]] - ldu[k[1::2], k[0::2]] ** 2
-    return int(np.count_nonzero((ipiv > 0) & (d > 0.0)) + np.count_nonzero(det < 0.0))
-
-
 def _embedding_gram(x: GridFunction, alpha: float) -> np.ndarray:
     """``H' H`` for the delay embedding ``H = delay_embed(x, alpha)``, without forming ``H``.
 
@@ -417,13 +400,17 @@ def _gram_threshold(x: GridFunction, alpha: float, tol: float) -> tuple[np.ndarr
     products of samples whose absolute values add up to at most ``3
     ||x||^2 <= 3 trace(M)`` (every sample enters some column of ``H``),
     so the computed ``M`` lies within ``3 n (N + n + 1) eps trace(M)`` of
-    the exact one in the 2-norm. Without element growth, the
-    factorization's inertia is exact for a matrix within ``n eps ||M||``
-    of ``M - theta I``. Together that is at most ``rho / 2`` times the
-    trace; the other half of ``rho`` is the margin for the rounding of
-    the singular values the certificate stands in for. Adding ``rho`` to
-    ``tol**2``, rather than taking the larger of the two, keeps that
-    margin for any ``tol``. See :func:`_inertia_certifies`.
+    the exact one in the 2-norm. Cholesky has no element growth (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, ch.
+    10): ``k <= n // 2 + 1`` positive pivots of ``M - theta I`` are exact
+    for a matrix within ``k (k + 1) eps trace(M)`` of it, and the
+    eigenvalues of ``np.linalg.eigvalsh`` for one within a small multiple
+    of ``n eps trace(M)`` of ``M``. For ``n >= 4`` that is all at most
+    ``rho / 2`` times the trace; the other half of ``rho`` is the margin
+    for the rounding of the singular values the certificate stands in
+    for. Adding ``rho`` to ``tol**2``, rather than taking the larger of
+    the two, keeps that margin for any ``tol``. See
+    :func:`_inertia_certifies`.
     """
     M = _embedding_gram(x, alpha)
     n = M.shape[0]
@@ -431,60 +418,74 @@ def _gram_threshold(x: GridFunction, alpha: float, tol: float) -> tuple[np.ndarr
     return M, (float(tol) ** 2 + rho) * float(np.trace(M))
 
 
+def _pivoted_cholesky(M: np.ndarray, shift: float, pivots: int, trace_goal: float = -math.inf) -> tuple[int, float]:
+    """Greedy diagonal-pivoted Cholesky of ``M - shift I``: how many positive pivots it takes, and the trace it leaves.
+
+    Each step pivots on the largest diagonal entry of the Schur
+    complement (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62,
+    2012), in ``O(n k)`` for the ``k``-th pivot. It stops after
+    ``pivots`` pivots, at the first pivot that is not positive, or once
+    the Schur complement's trace is at most ``trace_goal``. The pivots
+    index distinct rows, so ``k`` positive ones make a principal
+    submatrix of ``M - shift I`` positive definite. ``M`` is not modified.
+    """
+    residual = M.diagonal() - shift
+    L = np.empty((pivots, M.shape[0]))
+    for k in range(pivots):
+        left = float(residual.sum())
+        p = int(np.argmax(residual))
+        if left <= trace_goal or not residual[p] > 0.0:
+            return k, left
+        L[k] = (M[p] - L[:k, p] @ L[:k]) / np.sqrt(residual[p])
+        residual -= L[k] ** 2
+        residual[p] = 0.0
+    return pivots, float(residual.sum())
+
+
 def _inertia_certifies(M: np.ndarray, theta: float) -> bool:
     """The broadband certificate: whether more than half of the eigenvalues of ``M`` exceed ``theta``.
 
-    ``M`` and ``theta`` come from :func:`_gram_threshold`, and ``M`` is
-    overwritten. With ``half = n // 2`` for ``n`` columns, the curve is
-    certified when at least ``half + 1`` eigenvalues of ``M`` exceed
-    ``theta``, counted as the positive inertia of ``M - theta I``. Then
-    ``sigma[half]**2 > tol**2 * ||sigma||**2`` for the singular values
-    ``sigma`` of the embedding, so their tail energy is at least ``tol``
-    at every order up to ``half``: the order search of
+    ``M`` and ``theta`` come from :func:`_gram_threshold`. With ``half =
+    n // 2`` for ``n`` columns, the curve is certified when at least
+    ``half + 1`` eigenvalues of ``M`` exceed ``theta``. A pivoted
+    Cholesky of ``M - theta I`` that takes ``half + 1`` positive pivots
+    shows it: they index a positive definite principal submatrix, and by
+    Cauchy interlacing (Horn & Johnson, *Matrix Analysis*, 2nd ed.,
+    2013, section 4.3) ``M - theta I`` then has at least ``half + 1``
+    positive eigenvalues. Pivots that stop earlier prove nothing, and
+    the eigenvalues of ``M`` counted exactly decide. A certified curve
+    has ``sigma[half]**2 > tol**2 * ||sigma||**2`` for the singular
+    values ``sigma`` of the embedding, so their tail energy is at least
+    ``tol`` at every order up to ``half``: the order search of
     :func:`_analyze_curve` would end past ``half`` and find the curve not
     finite-dimensional. So a curve that the order search finds
     finite-dimensional is never certified, which is what lets
     :func:`_analyze_curve` skip the certificate for such a curve.
     """
-    if not (np.isfinite(theta) and theta > 0.0):
-        return False
-    n = M.shape[0]
-    M[np.diag_indices(n)] -= theta
-    return _positive_inertia(M) > n // 2
+    half = M.shape[0] // 2
+    if _pivoted_cholesky(M, theta, half + 1)[0] > half:
+        return True
+    return int(np.count_nonzero(np.linalg.eigvalsh(M) > theta)) > half
 
 
 def _few_directions(M: np.ndarray, theta: float) -> bool:
     """Whether a few pivots of a pivoted Cholesky of ``M`` leave a trace of at most ``theta``.
 
-    Runs the partial pivoted Cholesky factorization of the positive
-    semidefinite ``M`` (Harbrecht, Peters & Schneider, Appl. Numer.
-    Math. 62, 2012) for at most ``ceil(sqrt(n))`` pivots, and never more
-    than ``n // 2``, in ``O(n k^2)`` for ``k`` pivots. It stops as soon
-    as the trace of the remaining Schur complement is at most ``theta``.
-    Then ``M`` is a rank-``k`` matrix plus a positive semidefinite one
-    of trace at most ``theta``, so, up to rounding, at most ``k <= n //
-    2`` eigenvalues of ``M`` exceed ``theta``. Returns False when the
-    pivots run out first, or a pivot is not positive (which a non-finite
-    ``M`` gives). ``M`` is not modified.
+    Runs :func:`_pivoted_cholesky` on the positive semidefinite ``M``
+    for at most ``ceil(sqrt(n))`` pivots, and never more than ``n //
+    2``, stopping once the trace left is at most ``theta``. Then ``M``
+    is a rank-``k`` matrix plus a positive semidefinite one of trace at
+    most ``theta``, so, up to rounding, at most ``k <= n // 2``
+    eigenvalues of ``M`` exceed ``theta``.
     """
     n = M.shape[0]
     pivots = min(math.isqrt(n - 1) + 1, n // 2)  # ceil(sqrt(n)), n >= 1
-    residual = M.diagonal().copy()
-    L = np.empty((pivots, n))
-    for k in range(pivots):
-        if residual.sum() <= theta:
-            return True
-        p = int(np.argmax(residual))
-        if not residual[p] > 0.0:
-            return False
-        L[k] = (M[p] - L[:k, p] @ L[:k]) / np.sqrt(residual[p])
-        residual -= L[k] ** 2
-    return bool(residual.sum() <= theta)
+    return _pivoted_cholesky(M, 0.0, pivots, theta)[1] <= theta
 
 
-def _svd_report(x: GridFunction, alpha: float, tol: float) -> SelfSimilarityReport:
-    """The report of a curve from the singular values of its embedding over ``alpha`` and the order search."""
-    s = np.linalg.svd(delay_embed(x, alpha), compute_uv=False)
+def _svd_report(x: GridFunction, e: int, alpha: float, tol: float) -> SelfSimilarityReport:
+    """The report of the curve ``x * 2**e`` from the singular values of the embedding of ``x`` over ``alpha`` and the order search."""
+    s = np.ldexp(np.linalg.svd(delay_embed(x, alpha), compute_uv=False), e)
     s.setflags(write=False)
     # The last tail is zero, so some K >= 1 is always below tol.
     order = 1 + int(np.argmax(_tail_energy(s)[1:] < tol))
@@ -501,6 +502,15 @@ def _svd_report(x: GridFunction, alpha: float, tol: float) -> SelfSimilarityRepo
 def _analyze_curve(x: GridFunction, alpha: float, tol: float) -> SelfSimilarityReport:
     """Self-similarity report of one curve; see :class:`SelfSimilarityReport`.
 
+    The analysis runs on ``x`` scaled by the power of two that brings its
+    largest absolute sample into ``[0.5, 1)``, so no square of a finite
+    curve overflows, and only the singular values are scaled back. The
+    scaling is exact for samples that are not subnormal, so a curve whose
+    samples and squares neither overflow nor underflow gets the report of
+    the unscaled pass, bit for bit, and a curve and any exact multiple of
+    it by a power of two get the same report but for the singular
+    values' scale.
+
     A curve certified by :func:`_inertia_certifies` gets a report with
     no singular values, order or recurrence; every other curve gets the
     report of the singular values of its embedding and the order search.
@@ -515,13 +525,15 @@ def _analyze_curve(x: GridFunction, alpha: float, tol: float) -> SelfSimilarityR
     what runs first: every report is the one the certificate-first order
     gives.
     """
-    M, theta = _gram_threshold(x, alpha, tol)
-    report = _svd_report(x, alpha, tol) if _few_directions(M, theta) else None
+    e = _exponent(x.values)
+    unit = x.with_values(np.ldexp(x.values, -e))
+    M, theta = _gram_threshold(unit, alpha, tol)
+    report = _svd_report(unit, e, alpha, tol) if _few_directions(M, theta) else None
     if report is not None and report.finite_dimensional:
         return report
     if _inertia_certifies(M, theta):
         return SelfSimilarityReport(None, None, None, None)
-    return _svd_report(x, alpha, tol) if report is None else report
+    return _svd_report(unit, e, alpha, tol) if report is None else report
 
 
 def diagnose(design: Design, tol: float = DEFAULT_RESIDUAL_TOL) -> DiagnosisReport:

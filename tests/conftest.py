@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dsytrf, dsytrf_lwork
 
 from fcmlab import identifiability
 from fcmlab.designs import GeneratorSpec, NoiseSpec, gen_design
@@ -205,11 +206,14 @@ def _sample_line(path, k: int) -> int:
         return [reader.line_num for row in reader if row][k]
 
 
-# The reference curve analysis: the broadband certificate on the Gram
-# of the delay embedding `H` first, then the singular values for every
-# curve it does not certify. `_analyze_curve`, which forms the Gram from
-# the curve without `H` and takes the singular values first for curves
-# that a few Cholesky pivots explain, must give the same reports.
+# The reference curve analysis: the broadband certificate, decided by
+# the `dsytrf` inertia count, on the Gram of the delay embedding `H`
+# first, then the singular values for every curve it does not certify.
+# Both run on the curve scaled by the power of two that brings its
+# largest sample into [0.5, 1), as in `_analyze_curve`. `_analyze_curve`,
+# which forms the Gram from the curve without `H`, certifies through
+# Cholesky pivots and takes the singular values first for curves that
+# a few pivots explain, must give the same reports.
 
 
 def embedding_gram(H: np.ndarray) -> np.ndarray:
@@ -219,24 +223,50 @@ def embedding_gram(H: np.ndarray) -> np.ndarray:
     return _lag_shift_fill(first[None], first[None], U, U, V, V, 1)[0]
 
 
+def positive_inertia(A: np.ndarray) -> int:
+    """Number of positive eigenvalues of the symmetric ``A``, which is overwritten.
+
+    By Sylvester's law of inertia this is the number of positive
+    eigenvalues of ``D`` in the Bunch-Kaufman factorization ``A = L D
+    L'`` (LAPACK ``dsytrf``; Bunch & Kaufman, Math. Comp. 31, 1977).
+    ``D`` holds 1x1 and 2x2 blocks. Bunch-Kaufman pivoting takes a 2x2
+    block only when its determinant is negative, so that it has one
+    eigenvalue of each sign, and such a block counts once; any other
+    2x2 block, and a factor that is not finite, would undercount.
+    """
+    lwork = int(dsytrf_lwork(A.shape[0], lower=1)[0])
+    ldu, ipiv, _ = dsytrf(A, lower=1, lwork=lwork, overwrite_a=1)
+    d = np.diagonal(ldu)
+    if not np.all(np.isfinite(d)):
+        return 0
+    k = np.flatnonzero(ipiv < 0)  # 2x2 blocks: consecutive pairs (k, k+1)
+    det = d[k[0::2]] * d[k[1::2]] - ldu[k[1::2], k[0::2]] ** 2
+    return int(np.count_nonzero((ipiv > 0) & (d > 0.0)) + np.count_nonzero(det < 0.0))
+
+
 def certified_broadband(H: np.ndarray, tol: float) -> bool:
-    """The certificate of ``identifiability._inertia_certifies`` on ``embedding_gram(H)``.
+    """The broadband certificate on ``M = embedding_gram(H)``, decided by the ``dsytrf`` inertia of ``M - theta I``.
 
     ``theta`` is the threshold of ``identifiability._gram_threshold`` for
-    ``n`` columns over a curve of ``R + n - 1`` samples.
+    ``n`` columns over a curve of ``R + n - 1`` samples. The curve is
+    certified when more than ``n // 2`` eigenvalues of ``M`` exceed
+    ``theta``.
     """
     R, n = H.shape
     M = embedding_gram(H)
     rho = 8.0 * n * (R + 2 * n - 1) * np.finfo(float).eps
-    return identifiability._inertia_certifies(M, (float(tol) ** 2 + rho) * float(np.trace(M)))
+    M[np.diag_indices(n)] -= (float(tol) ** 2 + rho) * float(np.trace(M))
+    return positive_inertia(M) > n // 2
 
 
 def certificate_first_report(x: GridFunction, alpha: float, tol: float) -> SelfSimilarityReport:
     """The self-similarity report of ``x`` with the certificate consulted first."""
+    e = int(np.frexp(np.max(np.abs(x.values)))[1])
+    x = x.with_values(np.ldexp(x.values, -e))
     H = identifiability.delay_embed(x, alpha)
     if certified_broadband(H, tol):
         return SelfSimilarityReport(None, None, None, None)
-    s = np.linalg.svd(H, compute_uv=False)
+    s = np.ldexp(np.linalg.svd(H, compute_uv=False), e)
     order = 1 + int(np.argmax(identifiability._tail_energy(s)[1:] < tol))
     report = SelfSimilarityReport(s, order, None, None)
     if not report.finite_dimensional or len(x) < 3 * order:

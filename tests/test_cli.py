@@ -801,6 +801,30 @@ class TestErrorReporting:
         assert err["line"] == 9
         assert err["source"].endswith(curve)
 
+    @pytest.mark.parametrize(
+        "curve, argv",
+        [
+            ("x00.csv", ["fit", "--solver", "svd"]),
+            ("x00.csv", ["diagnose"]),
+            ("y.csv", ["fit", "--solver", "ridge", "--lambda", "1e-6"]),
+        ],
+    )
+    def test_sample_that_overflows_when_squared_exits_2_naming_the_manifest(self, tmp_path, capsys, curve, argv):
+        manifest = simulate(tmp_path, capsys)
+        path = manifest.parent / "obs000" / curve
+        lines = path.read_text().splitlines()
+        t, _ = lines[8].split(",")
+        lines[8] = f"{t},1e200"
+        path.write_text("\n".join(lines) + "\n")
+
+        code = main([argv[0], "--design", str(manifest), "--out", str(tmp_path / "out.json"), *argv[1:]])
+        err = single_error(capsys)
+        assert code == 2
+        assert err["error"] == "ValidationError"
+        assert err["source"] == str(manifest)
+        assert "overflow" in err["message"]
+        assert not (tmp_path / "out.json").exists()
+
     @pytest.mark.parametrize("kind", ["curve", "manifest", "spec", "config"])
     def test_undecodable_input_exits_2_naming_its_file_and_line(self, tmp_path, capsys, kind):
         manifest = simulate(tmp_path, capsys)
@@ -899,8 +923,9 @@ class TestErrorReporting:
 # and only small numbers, since a huge `T` or `n_modes` asks for
 # gigabytes and no check bounds the size of a design.
 _SWAPS = [None, "", "x", "a\0b", [], {}, True, 0, 1, -1, 0.5, 2]
-# Cells swapped into a mutated curve CSV line.
-_CELLS = ["", "x", "nan", "inf", "1e400", "a\0b", '"1"', "-1"]
+# Cells swapped into a mutated curve CSV line; "1e200" is finite but
+# overflows where it is squared.
+_CELLS = ["", "x", "nan", "inf", "1e400", "1e200", "a\0b", '"1"', "-1"]
 # Errors across options (a missing "needs --flag" option, colliding
 # output paths) name no file; every other exit-2 error names its input.
 _OPTION_MESSAGES = re.compile(r" needs --|collides with an input path|must be distinct")
@@ -994,7 +1019,7 @@ class TestMutatedInputs:
         else:
             curve = data.draw(st.sampled_from(sorted(manifest.parent.rglob("*.csv"))))
             curve.write_text(data.draw(mutated_csv(curve.read_text())))
-            argv = fit
+            argv = data.draw(st.sampled_from([fit, ["diagnose", *fit[1:]]]))
         out, err = io.StringIO(), io.StringIO()
         cwd = os.getcwd()
         os.chdir(work)

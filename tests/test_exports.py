@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import importlib.util
 import os
 import pkgutil
@@ -13,7 +14,7 @@ import pytest
 
 import fcmlab
 
-from test_cli import deficient_overrides, write_spec
+from test_cli import base_spec, deficient_overrides, write_spec
 
 MODULES = ["fcmlab"] + sorted(
     info.name
@@ -124,24 +125,32 @@ def test_fit_loads_no_scipy(tmp_path):
     )
 
 
-def test_diagnose_of_a_self_similar_design_loads_no_scipy(tmp_path):
-    # Every curve is a damped sinusoid, of order 2: a few Cholesky pivots
-    # explain its embedding Gram, so its singular values settle it and the
-    # broadband certificate, scipy's one use, never runs.
-    covariates = [{"kind": "self_similar", "params": {"terms": [{"a": -0.5, "b": 3.0}]}}]
-    spec = write_spec(tmp_path, covariates=covariates)
+@pytest.mark.parametrize(
+    "covariate, orders",
+    [
+        # A damped sinusoid, of order 2: a few Cholesky pivots explain its
+        # embedding Gram, so its singular values settle it.
+        ({"kind": "self_similar", "params": {"terms": [{"a": -0.5, "b": 3.0}]}}, [2, 2, 2]),
+        # Broadband noise: the certificate settles every curve.
+        (base_spec()["covariates"][0], [None, None, None]),
+    ],
+    ids=["self_similar", "filtered_noise"],
+)
+def test_diagnose_loads_no_scipy(tmp_path, covariate, orders):
+    spec = write_spec(tmp_path, covariates=[covariate])
     run_child(
         "import contextlib, io, json, sys\n"
         "from fcmlab.cli import main\n"
-        "spec, out = sys.argv[1:]\n"
+        "spec, out, orders = sys.argv[1:]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(['simulate', '--spec', spec, '--out', out]),\n"
         "             main(['diagnose', '--design', out + '/manifest.json', '--out', out + '/d.json',\n"
         "                   '--residuals-csv', out + '/r.csv'])]\n"
         "assert codes == [0, 0], codes\n"
         "entries = json.load(open(out + '/d.json'))['covariates']\n"
-        "assert [e['estimated_order'] for e in entries] == [2, 2, 2], entries\n"
+        "assert [e['estimated_order'] for e in entries] == json.loads(orders), entries\n"
         "assert 'scipy' not in sys.modules, 'scipy loaded'",
         str(spec),
         str(tmp_path / "design"),
+        json.dumps(orders),
     )

@@ -21,7 +21,7 @@ from fcmlab.identifiability import (
 )
 from fcmlab.model import CoefficientSet, Design, Observation
 
-from conftest import assert_same_report, certificate_first_report, traced_peak
+from conftest import assert_same_report, certificate_first_report, positive_inertia, traced_peak
 
 
 def curve(fn, T=2.0, step=1.0 / 256.0):
@@ -365,7 +365,7 @@ class TestBroadbandCertificate:
                 evals = rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 10.0, n)
                 A = (Q * evals) @ Q.T
                 A = 0.5 * (A + A.T)
-                assert identifiability._positive_inertia(A.copy()) == np.count_nonzero(evals > 0)
+                assert positive_inertia(A.copy()) == np.count_nonzero(evals > 0)
 
     @given(case=certificate_cases())
     @settings(max_examples=150, deadline=None)
@@ -420,9 +420,11 @@ class TestRouting:
         noise = 1e-7 * np.random.default_rng(4).standard_normal(129)
         x = curve(lambda t: np.sin(2 * np.pi * t) + noise, T=2.0, step=1.0 / 64.0)
         counted = []
-        inertia = identifiability._positive_inertia
+        certifies = identifiability._inertia_certifies
         monkeypatch.setattr(
-            identifiability, "_positive_inertia", lambda A: counted.append(A.shape) or inertia(A)
+            identifiability,
+            "_inertia_certifies",
+            lambda M, theta: counted.append(M.shape) or certifies(M, theta),
         )
         M, theta = identifiability._gram_threshold(x, 0.5, 1e-8)
         assert identifiability._few_directions(M, theta)
@@ -445,6 +447,28 @@ class TestRouting:
         for tol in (1e-8, 1e-3):
             expected = certificate_first_report(x, alpha, tol)
             assert_same_report(identifiability._analyze_curve(x, alpha, tol), expected)
+
+    @pytest.mark.parametrize("k", [0, 500, 508])
+    @pytest.mark.parametrize("kind", ["filtered_noise", "family_member"])
+    def test_a_power_of_two_scale_changes_no_report(self, kind, k):
+        # At 2**508 the squares of the samples, and of the singular
+        # values, overflow unless the curve pass scales them back.
+        if kind == "filtered_noise":
+            spec = GeneratorSpec(
+                "filtered_noise", 3.0, 1.0 / 128.0, seed=0,
+                params={"n_modes": 128, "max_frequency": 0.4 * 128.0, "bandwidth": 1.0 / 128.0},
+            )
+            x, alpha = gen_covariate(spec), 0.25
+        else:
+            x, alpha = _family_curve(-0.5, 4.0, 1, 6.0, 1.0 / 64.0), 0.5
+        scaled = GridFunction(x.start, x.step, np.ldexp(x.values, k))
+        expected = identifiability._analyze_curve(x, alpha, 1e-8)
+        report = identifiability._analyze_curve(scaled, alpha, 1e-8)
+        assert (report.singular_values is None) == (expected.singular_values is None)
+        assert (kind == "filtered_noise") == (report.singular_values is None)
+        assert report.estimated_order == expected.estimated_order
+        assert report.residual == expected.residual
+        assert repr(report.modes) == repr(expected.modes)
 
     def test_broadband_curves_consult_the_certificate_first(self, noisy_design):
         design, _ = noisy_design
