@@ -18,18 +18,16 @@ eigenvalues above the tolerance to be explained by half of its
 spectrum is certified broadband with no singular value decomposition.
 The Gram comes from the curve's autocorrelation and end samples; only
 the singular values form the embedding matrix. One greedy pivoted
-Cholesky factorization serves twice. A few of its pivots on the Gram
-route each curve: one they explain takes its singular values first and
-reaches the certificate only if the order search does not find it
-finite-dimensional. Its positive pivots on the Gram shifted by the
-threshold certify the curve, with the eigenvalues counted exactly when
-they stop short. The route never changes a report. numpy is the only
+Cholesky pass over the Gram decides each curve. If pivots on at most
+half of its columns leave a trace no larger than the threshold, the
+curve is not certified; if one pivot more is needed, and the Gram less
+the threshold has a Cholesky factor on the pivot rows, it is. Only
+otherwise are its eigenvalues counted exactly. numpy is the only
 dependency.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -167,7 +165,12 @@ def fit_recurrence(x: GridFunction, order: int) -> np.ndarray:
     ``3 * order`` samples. If the regressor matrix is rank deficient
     (the curve already satisfies a shorter recurrence), raises
     :class:`NearSingularError` rather than returning one of the many
-    minimizers.
+    minimizers. The regression runs on ``x`` scaled by the power of two
+    that brings its largest absolute sample into ``[0.5, 1)``, as
+    :func:`_analyze_curve` does, so a curve and its exact multiples by
+    powers of two get the same coefficients or the same error. The
+    eigenvalues the error reports are scaled back, and saturate at zero
+    or infinity rather than overflow.
     """
     if int(order) != order or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
@@ -177,12 +180,13 @@ def fit_recurrence(x: GridFunction, order: int) -> np.ndarray:
         raise GridError(
             f"need at least {3 * order} samples to fit an order-{order} recurrence, got {n}"
         )
-    H = delay_matrix(x.values, np.arange(order, n), order)
+    e = _exponent(x.values)
+    H = delay_matrix(np.ldexp(x.values, -e), np.arange(order, n), order)
     coeffs, _, rank, sv = np.linalg.lstsq(H[:, 1:], H[:, 0], rcond=None)
     if rank < order:
-        small = float(sv[-1]) if sv.size else 0.0
-        large = float(sv[0]) if sv.size else 0.0
-        raise NearSingularError(small**2, large**2)
+        with np.errstate(over="ignore"):
+            small, large = np.ldexp(np.square(sv[[-1, 0]]), 2 * e)
+        raise NearSingularError(small, large)
     return coeffs
 
 
@@ -402,10 +406,12 @@ def _gram_threshold(x: GridFunction, alpha: float, tol: float) -> tuple[np.ndarr
     so the computed ``M`` lies within ``3 n (N + n + 1) eps trace(M)`` of
     the exact one in the 2-norm. Cholesky has no element growth (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, ch.
-    10): ``k <= n // 2 + 1`` positive pivots of ``M - theta I`` are exact
-    for a matrix within ``k (k + 1) eps trace(M)`` of it, and the
-    eigenvalues of ``np.linalg.eigvalsh`` for one within a small multiple
-    of ``n eps trace(M)`` of ``M``. For ``n >= 4`` that is all at most
+    10): ``k <= n // 2 + 1`` pivots of a pivoted Cholesky of ``M``, with
+    the Schur complement they leave, and a Cholesky factor of ``k`` rows
+    and columns of ``M - theta I`` are each exact for a matrix within ``k
+    (k + 1) eps trace(M)`` of it, and the eigenvalues of
+    ``np.linalg.eigvalsh`` for one within a small multiple of ``n eps
+    trace(M)`` of ``M``. For ``n >= 4`` that is all at most
     ``rho / 2`` times the trace; the other half of ``rho`` is the margin
     for the rounding of the singular values the certificate stands in
     for. Adding ``rho`` to ``tol**2``, rather than taking the larger of
@@ -418,85 +424,63 @@ def _gram_threshold(x: GridFunction, alpha: float, tol: float) -> tuple[np.ndarr
     return M, (float(tol) ** 2 + rho) * float(np.trace(M))
 
 
-def _pivoted_cholesky(M: np.ndarray, shift: float, pivots: int, trace_goal: float = -math.inf) -> tuple[int, float]:
-    """Greedy diagonal-pivoted Cholesky of ``M - shift I``: how many positive pivots it takes, and the trace it leaves.
+def _pivoted_cholesky(M: np.ndarray, pivots: int, trace_goal: float) -> list[int]:
+    """Greedy diagonal-pivoted Cholesky of the positive semidefinite ``M``: the rows it pivots on.
 
     Each step pivots on the largest diagonal entry of the Schur
     complement (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62,
     2012), in ``O(n k)`` for the ``k``-th pivot. It stops after
-    ``pivots`` pivots, at the first pivot that is not positive, or once
-    the Schur complement's trace is at most ``trace_goal``. The pivots
-    index distinct rows, so ``k`` positive ones make a principal
-    submatrix of ``M - shift I`` positive definite. ``M`` is not modified.
+    ``pivots`` pivots, or once the Schur complement's trace is at most
+    ``trace_goal``. With ``trace_goal >= 0`` every pivot taken is
+    positive, and the pivots index distinct rows. ``M`` is not modified.
     """
-    residual = M.diagonal() - shift
+    residual = M.diagonal().copy()
     L = np.empty((pivots, M.shape[0]))
+    taken: list[int] = []
     for k in range(pivots):
-        left = float(residual.sum())
+        if residual.sum() <= trace_goal:
+            break
         p = int(np.argmax(residual))
-        if left <= trace_goal or not residual[p] > 0.0:
-            return k, left
         L[k] = (M[p] - L[:k, p] @ L[:k]) / np.sqrt(residual[p])
         residual -= L[k] ** 2
         residual[p] = 0.0
-    return pivots, float(residual.sum())
+        taken.append(p)
+    return taken
 
 
 def _inertia_certifies(M: np.ndarray, theta: float) -> bool:
     """The broadband certificate: whether more than half of the eigenvalues of ``M`` exceed ``theta``.
 
     ``M`` and ``theta`` come from :func:`_gram_threshold`. With ``half =
-    n // 2`` for ``n`` columns, the curve is certified when at least
-    ``half + 1`` eigenvalues of ``M`` exceed ``theta``. A pivoted
-    Cholesky of ``M - theta I`` that takes ``half + 1`` positive pivots
-    shows it: they index a positive definite principal submatrix, and by
-    Cauchy interlacing (Horn & Johnson, *Matrix Analysis*, 2nd ed.,
-    2013, section 4.3) ``M - theta I`` then has at least ``half + 1``
-    positive eigenvalues. Pivots that stop earlier prove nothing, and
-    the eigenvalues of ``M`` counted exactly decide. A certified curve
-    has ``sigma[half]**2 > tol**2 * ||sigma||**2`` for the singular
-    values ``sigma`` of the embedding, so their tail energy is at least
-    ``tol`` at every order up to ``half``: the order search of
-    :func:`_analyze_curve` would end past ``half`` and find the curve not
-    finite-dimensional. So a curve that the order search finds
-    finite-dimensional is never certified, which is what lets
-    :func:`_analyze_curve` skip the certificate for such a curve.
+    n // 2`` for ``n`` columns, one :func:`_pivoted_cholesky` of ``M``
+    takes at most ``half + 1`` pivots and decides most curves. If it
+    leaves a trace of at most ``theta`` after ``k <= half`` pivots,
+    ``M`` is a rank-``k`` matrix plus a positive semidefinite one of
+    trace at most ``theta``, so by Weyl's inequality at most ``k``
+    eigenvalues of ``M`` exceed ``theta``: not certified. If it takes
+    ``half + 1`` pivots and ``M - theta I`` restricted to their rows
+    and columns has a Cholesky factor, that principal submatrix is
+    positive definite, and by Cauchy interlacing (Horn & Johnson,
+    *Matrix Analysis*, 2nd ed., 2013, section 4.3) ``M - theta I`` has
+    at least ``half + 1`` positive eigenvalues: certified. Otherwise the
+    eigenvalues of ``M`` counted exactly decide. A certified curve has
+    ``sigma[half]**2 > tol**2 * ||sigma||**2`` for the singular values
+    ``sigma`` of the embedding, so their tail energy is at least ``tol``
+    at every order up to ``half``: the order search of
+    :func:`_analyze_curve` would end past ``half`` and find the curve
+    not finite-dimensional.
     """
     half = M.shape[0] // 2
-    if _pivoted_cholesky(M, theta, half + 1)[0] > half:
-        return True
-    return int(np.count_nonzero(np.linalg.eigvalsh(M) > theta)) > half
-
-
-def _few_directions(M: np.ndarray, theta: float) -> bool:
-    """Whether a few pivots of a pivoted Cholesky of ``M`` leave a trace of at most ``theta``.
-
-    Runs :func:`_pivoted_cholesky` on the positive semidefinite ``M``
-    for at most ``ceil(sqrt(n))`` pivots, and never more than ``n //
-    2``, stopping once the trace left is at most ``theta``. Then ``M``
-    is a rank-``k`` matrix plus a positive semidefinite one of trace at
-    most ``theta``, so, up to rounding, at most ``k <= n // 2``
-    eigenvalues of ``M`` exceed ``theta``.
-    """
-    n = M.shape[0]
-    pivots = min(math.isqrt(n - 1) + 1, n // 2)  # ceil(sqrt(n)), n >= 1
-    return _pivoted_cholesky(M, 0.0, pivots, theta)[1] <= theta
-
-
-def _svd_report(x: GridFunction, e: int, alpha: float, tol: float) -> SelfSimilarityReport:
-    """The report of the curve ``x * 2**e`` from the singular values of the embedding of ``x`` over ``alpha`` and the order search."""
-    s = np.ldexp(np.linalg.svd(delay_embed(x, alpha), compute_uv=False), e)
-    s.setflags(write=False)
-    # The last tail is zero, so some K >= 1 is always below tol.
-    order = 1 + int(np.argmax(_tail_energy(s)[1:] < tol))
-    report = SelfSimilarityReport(s, order, None, None)
-    if not report.finite_dimensional or len(x) < 3 * order:
-        return report
+    rows = _pivoted_cholesky(M, half + 1, theta)
+    if len(rows) <= half:
+        return False
+    block = M[rows][:, rows]
+    block[np.diag_indices_from(block)] -= theta
     try:
-        coeffs = fit_recurrence(x, order)
-    except NearSingularError:
-        return report
-    return replace(report, recurrence_coeffs=coeffs, modes=recurrence_modes(coeffs, x.step))
+        np.linalg.cholesky(block)
+        return True
+    except np.linalg.LinAlgError:
+        return int(np.count_nonzero(np.linalg.eigvalsh(M) > theta)) > half
 
 
 def _analyze_curve(x: GridFunction, alpha: float, tol: float) -> SelfSimilarityReport:
@@ -511,29 +495,28 @@ def _analyze_curve(x: GridFunction, alpha: float, tol: float) -> SelfSimilarityR
     it by a power of two get the same report but for the singular
     values' scale.
 
-    A curve certified by :func:`_inertia_certifies` gets a report with
-    no singular values, order or recurrence; every other curve gets the
-    report of the singular values of its embedding and the order search.
-    What runs first is routed by :func:`_few_directions` on the
-    embedding Gram ``M``, which is formed once for both, from the curve
-    (:func:`_gram_threshold`). A curve whose ``M`` a few Cholesky pivots
-    explain takes the singular values first: if the order search finds
-    it finite-dimensional, the certificate could not have fired, so it
-    is not consulted; otherwise it is, and a certified curve gets the
-    null report. Every other curve consults the certificate first, and
-    forms no embedding matrix when it fires. The routing decides only
-    what runs first: every report is the one the certificate-first order
-    gives.
+    The embedding Gram, formed from the curve (:func:`_gram_threshold`),
+    decides first. A curve certified by :func:`_inertia_certifies` gets
+    a report with no singular values, order or recurrence, and forms no
+    embedding matrix; every other curve gets the report of the singular
+    values of its embedding and the order search.
     """
     e = _exponent(x.values)
     unit = x.with_values(np.ldexp(x.values, -e))
-    M, theta = _gram_threshold(unit, alpha, tol)
-    report = _svd_report(unit, e, alpha, tol) if _few_directions(M, theta) else None
-    if report is not None and report.finite_dimensional:
-        return report
-    if _inertia_certifies(M, theta):
+    if _inertia_certifies(*_gram_threshold(unit, alpha, tol)):
         return SelfSimilarityReport(None, None, None, None)
-    return _svd_report(unit, e, alpha, tol) if report is None else report
+    s = np.ldexp(np.linalg.svd(delay_embed(unit, alpha), compute_uv=False), e)
+    s.setflags(write=False)
+    # The last tail is zero, so some K >= 1 is always below tol.
+    order = 1 + int(np.argmax(_tail_energy(s)[1:] < tol))
+    report = SelfSimilarityReport(s, order, None, None)
+    if not report.finite_dimensional or len(x) < 3 * order:
+        return report
+    try:
+        coeffs = fit_recurrence(unit, order)
+    except NearSingularError:
+        return report
+    return replace(report, recurrence_coeffs=coeffs, modes=recurrence_modes(coeffs, x.step))
 
 
 def diagnose(design: Design, tol: float = DEFAULT_RESIDUAL_TOL) -> DiagnosisReport:

@@ -211,9 +211,9 @@ def _sample_line(path, k: int) -> int:
 # first, then the singular values for every curve it does not certify.
 # Both run on the curve scaled by the power of two that brings its
 # largest sample into [0.5, 1), as in `_analyze_curve`. `_analyze_curve`,
-# which forms the Gram from the curve without `H`, certifies through
-# Cholesky pivots and takes the singular values first for curves that
-# a few pivots explain, must give the same reports.
+# which forms the Gram from the curve without `H` and decides the
+# certificate through one pivoted Cholesky pass, must give the same
+# reports.
 
 
 def embedding_gram(H: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from fcmlab.errors import GridError, NearSingularError
 from fcmlab.estimator import assemble
 from fcmlab.grids import GridFunction, inner_product, quadrature_weights
 from fcmlab.identifiability import (
+    SelfSimilarityReport,
     delay_embed,
     diagnose,
     fit_recurrence,
@@ -201,6 +202,17 @@ class TestFitRecurrence:
         with pytest.raises(NearSingularError):
             fit_recurrence(x, 2)
 
+    @pytest.mark.parametrize("k", [0, 600, -600])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_power_of_two_scale_changes_no_fit(self, k):
+        # At 2**600 the squares of the singular values overflow, and at
+        # 2**-600 they underflow: the error must saturate them silently.
+        x = curve(lambda t: np.sin(2 * np.pi * t), T=2.0, step=1.0 / 64.0)
+        scaled = GridFunction(x.start, x.step, np.ldexp(x.values, k))
+        assert fit_recurrence(scaled, 2).tobytes() == fit_recurrence(x, 2).tobytes()
+        with pytest.raises(NearSingularError):
+            fit_recurrence(scaled, 3)
+
     def test_too_few_samples(self):
         x = GridFunction(0.0, 0.25, np.arange(5.0))
         with pytest.raises(GridError):
@@ -389,8 +401,19 @@ class TestBroadbandCertificate:
         assert calls == []
 
 
+def exits(monkeypatch, x, alpha, tol):
+    """``_analyze_curve(x, alpha, tol)``, and the names of the numpy decompositions it calls, in order."""
+    calls = []
+    with monkeypatch.context() as m:
+        for name in ("cholesky", "eigvalsh", "svd"):
+            fn = getattr(np.linalg, name)
+            m.setattr(np.linalg, name, lambda *a, _fn=fn, _name=name, **kw: calls.append(_name) or _fn(*a, **kw))
+        report = identifiability._analyze_curve(x, alpha, tol)
+    return report, calls
+
+
 class TestRouting:
-    """``_analyze_curve`` gives the certificate-first report on every route."""
+    """``_analyze_curve`` gives the certificate-first report through every exit of the pivoted Cholesky pass."""
 
     @given(case=certificate_cases())
     @settings(max_examples=150, deadline=None)
@@ -401,37 +424,53 @@ class TestRouting:
 
     @pytest.mark.parametrize("member", list(_family_members()), ids=str)
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
-    def test_family_members_take_the_singular_values_first(self, member, alpha):
+    def test_family_members_are_settled_by_the_trace(self, monkeypatch, member, alpha):
         # The embeddings of the selfsimilar-many benchmark: step 1/64 over
-        # [0, 6]. Each member has order at most 6, no more than the
-        # ceil(sqrt(n)) pivots of an n-column window (6 at n = 33, 9 at 65).
+        # [0, 6]. Each member has order at most 6, far below half of the
+        # 33 or 65 columns, so pivots on as many rows leave a trace below
+        # the threshold: no block Cholesky and no eigenvalue count.
         a, b, m, order = member
         x = _family_curve(a, b, m, 6.0, 1.0 / 64.0)
-        M, theta = identifiability._gram_threshold(x, alpha, 1e-8)
-        assert identifiability._few_directions(M, theta)
-        report = identifiability._analyze_curve(x, alpha, 1e-8)
+        report, calls = exits(monkeypatch, x, alpha, 1e-8)
+        assert calls == ["svd"]
         assert report.estimated_order == order and report.modes is not None
         assert_same_report(report, certificate_first_report(x, alpha, 1e-8))
 
-    def test_low_rank_curve_past_half_consults_the_certificate(self, monkeypatch):
+    def test_low_rank_curve_past_half_is_settled_by_the_trace(self, monkeypatch):
         # A sine under a 1e-7 noise floor: two pivots leave a residual trace
-        # far below the certificate's threshold, but the order search runs
-        # past half the window. The certificate then runs, and does not fire.
+        # far below the certificate's threshold, though the order search
+        # runs past half the window.
         noise = 1e-7 * np.random.default_rng(4).standard_normal(129)
         x = curve(lambda t: np.sin(2 * np.pi * t) + noise, T=2.0, step=1.0 / 64.0)
-        counted = []
-        certifies = identifiability._inertia_certifies
-        monkeypatch.setattr(
-            identifiability,
-            "_inertia_certifies",
-            lambda M, theta: counted.append(M.shape) or certifies(M, theta),
-        )
-        M, theta = identifiability._gram_threshold(x, 0.5, 1e-8)
-        assert identifiability._few_directions(M, theta)
-        report = identifiability._analyze_curve(x, 0.5, 1e-8)
+        report, calls = exits(monkeypatch, x, 0.5, 1e-8)
+        assert calls == ["svd"]
         assert not report.finite_dimensional and report.singular_values is not None
-        assert counted == [(33, 33)]
         assert_same_report(report, certificate_first_report(x, 0.5, 1e-8))
+
+    def test_fourteen_dimensional_curve_is_settled_by_the_trace(self, monkeypatch):
+        # Seven tones span 14 dimensions of a 65-column window, fewer than
+        # half of its columns.
+        x = gen_covariate(GeneratorSpec("sinusoid_rich", 2.0, 1.0 / 64.0, params={"K": 7}))
+        report, calls = exits(monkeypatch, x, 1.0, 1e-8)
+        assert calls == ["svd"]
+        assert report.estimated_order == 14 and report.modes is not None
+        assert_same_report(report, certificate_first_report(x, 1.0, 1e-8))
+
+    def test_curve_the_pass_leaves_undecided_is_counted_exactly(self, monkeypatch):
+        # A sine on a 3-column window at tol 5e-2: one pivot leaves about
+        # twice the threshold, and the second eigenvalue, 0.8 of it, is
+        # too small for the two-row block to factor.
+        x = _family_curve(0.0, 2.0, 0, 2.0, 1.0 / 32.0)
+        report, calls = exits(monkeypatch, x, 2.0 / 32.0, 5e-2)
+        assert calls == ["cholesky", "eigvalsh", "svd"]
+        assert_same_report(report, certificate_first_report(x, 2.0 / 32.0, 5e-2))
+
+    def test_broadband_curves_are_certified_by_the_pivot_block(self, monkeypatch, noisy_design):
+        design, _ = noisy_design
+        for obs in design.observations:
+            report, calls = exits(monkeypatch, obs.x[0], design.lags[0], 1e-8)
+            assert calls == ["cholesky"]
+            assert_same_report(report, SelfSimilarityReport(None, None, None, None))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize(
@@ -469,13 +508,6 @@ class TestRouting:
         assert report.estimated_order == expected.estimated_order
         assert report.residual == expected.residual
         assert repr(report.modes) == repr(expected.modes)
-
-    def test_broadband_curves_consult_the_certificate_first(self, noisy_design):
-        design, _ = noisy_design
-        for obs in design.observations:
-            M, theta = identifiability._gram_threshold(obs.x[0], design.lags[0], 1e-8)
-            assert not identifiability._few_directions(M, theta)
-            assert identifiability._inertia_certifies(M, theta)
 
 
 class TestDiagnose:
