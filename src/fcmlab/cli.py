@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -56,12 +57,14 @@ class RunConfig:
     residuals_csv: str | None = None
 
     def validate(self) -> None:
-        inputs = {p for p in (self.spec_path, self.design_path) if p}
+        # Paths compare resolved, so that `./f`, `d/../f` and a path
+        # through a symlinked directory collide with `f`.
+        inputs = {os.path.realpath(p) for p in (self.spec_path, self.design_path) if p}
         outputs = [p for p in (self.out_path, self.spectrum_csv, self.residuals_csv) if p]
         for out in outputs:
-            if out in inputs:
+            if os.path.realpath(out) in inputs:
                 raise ValidationError(f"output path {out!r} collides with an input path")
-        if len(outputs) != len(set(outputs)):
+        if len(outputs) != len({os.path.realpath(p) for p in outputs}):
             raise ValidationError("output paths must be distinct")
         for f in fields(self):
             _check_option(f.name, getattr(self, f.name))

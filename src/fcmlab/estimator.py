@@ -228,15 +228,18 @@ def _lag_shift_fill(first_jk, first_kj, Uj, Uk, Vj, Vk, s: int) -> tuple:
     observation, the first and last rows of each covariate's delay
     matrix. The rest follows from ``Q[a+s, b+s] = Q[a, b] + UU[a+s,
     b+s] - VV[a, b]``, where ``UU = U_j U_k'`` and ``VV = V_j V_k'`` (see
-    :func:`_normal_equations`). Returns ``Q``, ``UU`` and ``VV``.
+    :func:`_normal_equations`). Leading axes, when the arguments have
+    any, index a stack of such fills, done at once; each matrix of the
+    stack is, bit for bit, the one a fill of its own gives. Returns
+    ``Q``, ``UU`` and ``VV``.
     """
-    UU, VV = Uj @ Uk.T, Vj @ Vk.T
+    UU, VV = Uj @ np.swapaxes(Uk, -1, -2), Vj @ np.swapaxes(Vk, -1, -2)
     Q = np.empty_like(UU)
-    Q[:s] = first_jk
-    Q[s:, :s] = first_kj[:, s:].T
-    Q[s:, s:] = UU[s:, s:] - VV[:-s, :-s]
-    for a in range(s, Q.shape[0]):
-        Q[a, s:] += Q[a - s, :-s]
+    Q[..., :s, :] = first_jk
+    Q[..., s:, :s] = np.swapaxes(first_kj[..., s:], -1, -2)
+    np.subtract(UU[..., s:, s:], VV[..., :-s, :-s], out=Q[..., s:, s:])
+    for a in range(s, Q.shape[-2]):
+        Q[..., a, s:] += Q[..., a - s, :-s]
     return Q, UU, VV
 
 

@@ -210,10 +210,11 @@ def _sample_line(path, k: int) -> int:
 # the `dsytrf` inertia count, on the Gram of the delay embedding `H`
 # first, then the singular values for every curve it does not certify.
 # Both run on the curve scaled by the power of two that brings its
-# largest sample into [0.5, 1), as in `_analyze_curve`. `_analyze_curve`,
-# which forms the Gram from the curve without `H` and decides the
-# certificate through one pivoted Cholesky pass, must give the same
-# reports.
+# largest sample into [0.5, 1), as in `_analyze_curves`. `_analyze_curves`,
+# which forms the Grams from the curves without `H`, decides the
+# certificate through one pivoted Cholesky pass per curve and stacks
+# same-shape curves into one SVD, must give the same reports, one curve
+# at a time.
 
 
 def embedding_gram(H: np.ndarray) -> np.ndarray:
@@ -247,7 +248,7 @@ def positive_inertia(A: np.ndarray) -> int:
 def certified_broadband(H: np.ndarray, tol: float) -> bool:
     """The broadband certificate on ``M = embedding_gram(H)``, decided by the ``dsytrf`` inertia of ``M - theta I``.
 
-    ``theta`` is the threshold of ``identifiability._gram_threshold`` for
+    ``theta`` is the threshold of ``identifiability._gram_thresholds`` for
     ``n`` columns over a curve of ``R + n - 1`` samples. The curve is
     certified when more than ``n // 2`` eigenvalues of ``M`` exceed
     ``theta``.

@@ -861,12 +861,35 @@ class TestErrorReporting:
         assert err["error"] == "ValidationError"
         assert err["source"] == str(deep)
 
-    def test_output_colliding_with_input_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("spelling", ["same", "dot", "parent", "symlink"])
+    def test_output_colliding_with_input_exits_2(self, tmp_path, capsys, spelling):
         manifest = simulate(tmp_path, capsys)
-        code = main(["fit", "--design", str(manifest), "--out", str(manifest)])
-        err = json.loads(capsys.readouterr().err)
+        design_dir, name = manifest.parent, manifest.name
+        (design_dir / "a").mkdir()
+        (tmp_path / "link").symlink_to(design_dir, target_is_directory=True)
+        out = {
+            "same": str(manifest),
+            "dot": f"{design_dir}/./{name}",
+            "parent": f"{design_dir}/a/../{name}",
+            "symlink": str(tmp_path / "link" / name),
+        }[spelling]
+        before = manifest.read_bytes()
+        code = main(["fit", "--design", str(manifest), "--out", out])
+        err = single_error(capsys)
         assert code == 2
         assert "collides" in err["message"]
+        assert manifest.read_bytes() == before
+
+    def test_outputs_spelled_differently_collide(self, tmp_path, capsys):
+        manifest = simulate(tmp_path, capsys)
+        out = tmp_path / "d.json"
+        code = main(
+            ["diagnose", "--design", str(manifest), "--out", str(out), "--spectrum-csv", f"{tmp_path}/./d.json"]
+        )
+        err = single_error(capsys)
+        assert code == 2
+        assert "distinct" in err["message"]
+        assert not out.exists()
 
     def test_tolerance_out_of_range_exits_2(self, tmp_path, capsys):
         manifest = simulate(tmp_path, capsys)

@@ -239,6 +239,20 @@ class TestAssemble:
                 direct += quadrature_weights(len(conv), conv.step) @ conv.values**2
             assert float(v @ system.G @ v) == pytest.approx(direct, rel=1e-8)
 
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_a_stacked_fill_is_each_fill_bit_for_bit(self, s):
+        # Rectangular blocks (lag windows of 7 and 5 samples) over three
+        # observations, stacked four deep.
+        rng = np.random.default_rng(s)
+        first_jk, first_kj = rng.standard_normal((4, s, 5)), rng.standard_normal((4, s, 7))
+        Uj, Vj = rng.standard_normal((2, 4, 7, 3))
+        Uk, Vk = rng.standard_normal((2, 4, 5, 3))
+        stacked = estimator._lag_shift_fill(first_jk, first_kj, Uj, Uk, Vj, Vk, s)
+        for b in range(4):
+            alone = estimator._lag_shift_fill(first_jk[b], first_kj[b], Uj[b], Uk[b], Vj[b], Vk[b], s)
+            for got, expected in zip(stacked, alone):
+                assert got[b].tobytes() == expected.tobytes()
+
     def test_gradient_is_normal_equations(self, noisy_design):
         design, truth = noisy_design
         system = assemble(design)

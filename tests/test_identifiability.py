@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -242,6 +244,20 @@ class TestRecurrenceModes:
         assert modes[0].a == pytest.approx(-0.4, abs=1e-6)
         assert modes[0].b == 0.0
 
+    def test_stacked_roots_are_the_roots_of_np_roots(self):
+        # Mixed sizes, real and complex roots, and zero coefficients at
+        # the end, inside and everywhere.
+        rng = np.random.default_rng(12)
+        coeffs = [rng.standard_normal(k) for k in (1, 2, 2, 3, 6, 6, 6, 9)]
+        coeffs += [np.array([2.0 * np.cos(0.1), -1.0]), np.array([1.5, 0.0, 0.0]), np.array([0.0, 0.5])]
+        coeffs += [np.zeros(3), np.array([0.0, -0.0]), np.array([-0.5, 0.0, 0.25, 0.0])]
+        for a, b, m, order in _family_members():
+            x = _family_curve(a, b, m, 2.0, 1.0 / 32.0)
+            coeffs.append(fit_recurrence(x, order))
+        roots = identifiability._characteristic_roots(coeffs)
+        for c, r in zip(coeffs, roots):
+            assert repr(r) == repr(np.roots(np.concatenate(([1.0], -c))).tolist())
+
 
 class TestSelfSimilarityResidual:
     def test_damped_oscillation_with_ramp(self):
@@ -331,7 +347,7 @@ class TestBroadbandCertificate:
         rng = np.random.default_rng(5)
         for size, L in ((9, 1), (40, 7), (200, 64)):
             x = GridFunction(0.0, 0.5, rng.standard_normal(size))
-            M = identifiability._embedding_gram(x, L * 0.5)
+            M = identifiability._embedding_grams(x.values[None], L)[0]
             H = delay_embed(x, L * 0.5)
             ref = H.T @ H
             assert np.abs(M - ref).max() <= 1e-12 * np.trace(ref)
@@ -343,7 +359,7 @@ class TestBroadbandCertificate:
     )
     @settings(max_examples=120, deadline=None)
     def test_curve_gram_is_the_product_within_the_rounding_bound(self, kind, size, data):
-        # The bound is the rho / 2 * trace(M) of `_gram_threshold`'s
+        # The bound is the rho / 2 * trace(M) of `_gram_thresholds`'s
         # docstring, rho = 8 n (N + n) eps, in the 2-norm.
         L = data.draw(st.integers(1, size - 1), label="L")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -352,7 +368,7 @@ class TestBroadbandCertificate:
         else:
             values = np.full(size, 0.0 if kind == "zero" else rng.uniform(-2.0, 2.0))
         x = GridFunction(0.0, 0.25, values)
-        M = identifiability._embedding_gram(x, L * 0.25)
+        M = identifiability._embedding_grams(x.values[None], L)[0]
         H = delay_embed(x, L * 0.25)
         ref = H.T @ H
         n = L + 1
@@ -361,13 +377,13 @@ class TestBroadbandCertificate:
         assert np.linalg.norm(M - ref, 2) <= 0.5 * rho * np.trace(ref)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.1, 2.5, 0.3 / 4.0, -0.25])
-    def test_curve_gram_refuses_the_windows_delay_embed_refuses(self, alpha):
+    def test_curve_pass_refuses_the_windows_delay_embed_refuses(self, alpha):
         x = GridFunction(0.0, 0.25, np.arange(10.0))  # 9 steps: 2.25 at most
         with pytest.raises(GridError) as embed:
             delay_embed(x, alpha)
-        with pytest.raises(GridError) as gram:
-            identifiability._embedding_gram(x, alpha)
-        assert str(gram.value) == str(embed.value)
+        with pytest.raises(GridError) as curve_pass:
+            analyze(x, alpha, 1e-8)
+        assert str(curve_pass.value) == str(embed.value)
 
     def test_positive_inertia_counts_positive_eigenvalues(self):
         rng = np.random.default_rng(8)
@@ -385,7 +401,9 @@ class TestBroadbandCertificate:
         x, alpha, tol, order = case
         H = delay_embed(x, alpha)
         half = H.shape[1] // 2
-        if not identifiability._inertia_certifies(*identifiability._gram_threshold(x, alpha, tol)):
+        L = identifiability._window_steps(x, alpha)
+        M, theta = identifiability._gram_thresholds(x.values[None], L, tol)
+        if not identifiability._inertia_certifies(M[0], theta[0]):
             return
         # A curve of order at most half satisfies a short recurrence.
         assert order is None or order > half
@@ -401,26 +419,32 @@ class TestBroadbandCertificate:
         assert calls == []
 
 
+def analyze(x, alpha, tol):
+    """The report of the curve pass on ``x`` alone."""
+    (report,) = identifiability._analyze_curves([(x, alpha)], tol)
+    return report
+
+
 def exits(monkeypatch, x, alpha, tol):
-    """``_analyze_curve(x, alpha, tol)``, and the names of the numpy decompositions it calls, in order."""
+    """``analyze(x, alpha, tol)``, and the names of the numpy decompositions it calls, in order."""
     calls = []
     with monkeypatch.context() as m:
         for name in ("cholesky", "eigvalsh", "svd"):
             fn = getattr(np.linalg, name)
             m.setattr(np.linalg, name, lambda *a, _fn=fn, _name=name, **kw: calls.append(_name) or _fn(*a, **kw))
-        report = identifiability._analyze_curve(x, alpha, tol)
+        report = analyze(x, alpha, tol)
     return report, calls
 
 
 class TestRouting:
-    """``_analyze_curve`` gives the certificate-first report through every exit of the pivoted Cholesky pass."""
+    """The curve pass gives the certificate-first report through every exit of the pivoted Cholesky pass."""
 
     @given(case=certificate_cases())
     @settings(max_examples=150, deadline=None)
     def test_every_route_gives_the_certificate_first_report(self, case):
         x, alpha, tol, _ = case
         expected = certificate_first_report(x, alpha, tol)
-        assert_same_report(identifiability._analyze_curve(x, alpha, tol), expected)
+        assert_same_report(analyze(x, alpha, tol), expected)
 
     @pytest.mark.parametrize("member", list(_family_members()), ids=str)
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
@@ -485,7 +509,7 @@ class TestRouting:
         x = gen_covariate(spec)
         for tol in (1e-8, 1e-3):
             expected = certificate_first_report(x, alpha, tol)
-            assert_same_report(identifiability._analyze_curve(x, alpha, tol), expected)
+            assert_same_report(analyze(x, alpha, tol), expected)
 
     @pytest.mark.parametrize("k", [0, 500, 508])
     @pytest.mark.parametrize("kind", ["filtered_noise", "family_member"])
@@ -501,8 +525,8 @@ class TestRouting:
         else:
             x, alpha = _family_curve(-0.5, 4.0, 1, 6.0, 1.0 / 64.0), 0.5
         scaled = GridFunction(x.start, x.step, np.ldexp(x.values, k))
-        expected = identifiability._analyze_curve(x, alpha, 1e-8)
-        report = identifiability._analyze_curve(scaled, alpha, 1e-8)
+        expected = analyze(x, alpha, 1e-8)
+        report = analyze(scaled, alpha, 1e-8)
         assert (report.singular_values is None) == (expected.singular_values is None)
         assert (kind == "filtered_noise") == (report.singular_values is None)
         assert report.estimated_order == expected.estimated_order
@@ -652,3 +676,61 @@ class TestDiagnose:
         lam_max = float(report.eigenvalues[0])
         for v in report.null_basis:
             assert quadratic_form(design, v) <= 1e-10 * lam_max
+
+    def test_stacked_pass_gives_every_curve_its_own_report(self, monkeypatch):
+        # Observations of 129 and 97 samples and windows of 9 and 17
+        # columns make four stacks. A chunk holds four curves of 9
+        # columns and one of 17, so every stack is cut, and the
+        # filtered-noise chunks mix curves the certificate settles with
+        # curves that take the SVD.
+        step = 1.0 / 32.0
+        lags = (8 * step, 16 * step)
+        observations = []
+        for i in range(12):
+            T = 4.0 if i % 2 == 0 else 3.0
+            noise = gen_covariate(GeneratorSpec(
+                "filtered_noise", T, step, seed=i,
+                params={"n_modes": 16, "max_frequency": 6.0, "bandwidth": 0.5},
+            ))
+            member = _family_curve(-0.5, 4.0 + i, i % 2, T, step)
+            y = GridFunction(0.0, step, np.zeros(len(member)))
+            observations.append(Observation(y, (noise, member), ()))
+        design = Design(tuple(observations), lags, step)
+        monkeypatch.setattr(identifiability, "_CURVE_STACK_CELLS", 4 * 9**2)
+        chunks, svds = [], []
+        analyze_chunk, svd = identifiability._analyze_chunk, np.linalg.svd
+        monkeypatch.setattr(
+            identifiability, "_analyze_chunk",
+            lambda xs, L, tol: chunks.append(analyze_chunk(xs, L, tol)) or chunks[-1],
+        )
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svds.append(a) or svd(*a, **kw))
+        report = diagnose(design)
+        assert sorted(len(chunk) for chunk in chunks) == [1] * 12 + [2, 2, 4, 4]
+        exits = [{rep.singular_values is None for rep in chunk} for chunk in chunks]
+        assert {True, False} in exits
+        assert len(svds) == sum(False in e for e in exits)
+        for obs, row in zip(design.observations, report.covariate_reports):
+            for x, alpha, rep in zip(obs.x, lags, row):
+                assert_same_report(rep, certificate_first_report(x, alpha, 1e-8))
+
+    def test_curve_pass_holds_one_chunk_at_a_time(self):
+        # 1000 curves of 65 columns, half noise that the certificate
+        # settles and half a family member that takes the SVD. Beyond the
+        # reports it returns, the pass holds a few stacks of one chunk;
+        # the Grams of all 1000 curves would take 34 MB.
+        step = 1.0 / 64.0
+        member = _family_curve(-0.5, 4.0, 1, 6.0, step)
+        rng = np.random.default_rng(9)
+        curves = [
+            (member if k % 2 else GridFunction(0.0, step, rng.standard_normal(len(member))), 1.0)
+            for k in range(1000)
+        ]
+        tracemalloc.start()
+        try:
+            reports = identifiability._analyze_curves(curves, 1e-8)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [rep.singular_values is None for rep in reports] == [k % 2 == 0 for k in range(1000)]
+        assert all(rep.modes is not None for rep in reports[1::2])
+        assert peak - retained < 8 * 8 * identifiability._CURVE_STACK_CELLS
